@@ -24,7 +24,8 @@ from . import example as _ex
 from . import fileio
 from . import grp as _grp
 from . import rep as _rep
-from .errors import MalformedError, ModulusMismatchError, TbkError
+from .errors import (InfeasibleError, MalformedError, ModulusMismatchError,
+                     TbkError)
 
 
 def _max_order() -> int:
@@ -381,7 +382,7 @@ def cmd_twisted_assoc(args) -> int:
     run = _Run(args)
     c = _load_cocycle(args.cocycle, run)
     action = _cx.GroupAction.trivial(c.group, args.points)
-    ok, witness = _cx.twisted_assoc_check(c, action, trials=args.trials)
+    ok, witness = _cx.twisted_assoc_check(c, action)
     run.results = {"associative": ok,
                    "witness_triple": list(witness) if witness else None}
     return _emit(run, args, "associative" if ok else f"fails at {witness}")
@@ -412,8 +413,9 @@ def cmd_example(args) -> int:
                                    allow_large=args.allow_large,
                                    bound=_max_order())
     survey = _rep.fixed_locus_survey(bundle.model)
+    # the six pairing forms e12 ... e34, not the ext* extension classes
     elementary = [bundle.cocycle(n) for n in bundle.catalog_names
-                  if n.startswith("e")]
+                  if n[1].isdigit()]
     span = _br.span_analysis(elementary)
     min_codim = min(r.codim for r in survey.records if r.representative != 0)
     run.results = {
@@ -541,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_out(tw_sub.add_parser("assoc-check"))
     p.add_argument("--cocycle", required=True)
     p.add_argument("--points", type=int, default=3)
-    p.add_argument("--trials", type=int, default=4096)
     p.set_defaults(func=cmd_twisted_assoc, command_path="twisted assoc-check")
 
     exm = sub.add_parser("example", help="built-in example pipelines")
@@ -571,6 +572,10 @@ def main(argv=None) -> int:
     except TbkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        print("error: out of memory: the input is too large for this machine",
+              file=sys.stderr)
+        return InfeasibleError.exit_code
 
 
 if __name__ == "__main__":

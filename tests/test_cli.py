@@ -236,6 +236,17 @@ def test_cli_resource_guard_exit_code(capsys):
     assert "error" in captured.err
 
 
+def test_cli_memory_error_is_resource_guard(workdir, capsys, monkeypatch):
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_b0_test", exhaust)
+    code, payload, err = _run(
+        ["b0", "test", "--cocycle", str(workdir / "pairing.json")], capsys)
+    assert code == 4 and payload == {}
+    assert err.startswith("error: out of memory")
+
+
 def test_cli_example_p2(capsys):
     code, payload, _ = _run(["example", "bogomolov", "--p", "2"], capsys)
     assert code == 0

@@ -72,6 +72,48 @@ def test_heisenberg_cocycle_valid_and_perturbation_detected():
     assert lhs != rhs
 
 
+def _first_failing_triple_by_sweep(c: cx.Cocycle2):
+    """Reference: the full n^3 sweep in lexicographic (g, h, k) order."""
+    mul = c.group.mul_table().astype(np.int64)
+    t = c.table.astype(np.int64)
+    for g in range(c.group.order):
+        diff = (t[g][:, None] + t[mul[g]] - t - t[g][mul]) % c.modulus
+        if diff.any():
+            h, k = map(int, np.argwhere(diff)[0])
+            return False, (g, h, k)
+    return True, None
+
+
+def _relabelled_z4_z4() -> grp.FiniteGroup:
+    """Z_4 x Z_4 with the labels reversed, so its generators are 12 and 15."""
+    base = grp.direct_product(grp.cyclic(4), grp.cyclic(4))
+    n = base.order
+    perm = np.array([0] + [n - x for x in range(1, n)])  # an involution
+    table = perm[base.mul_table()[np.ix_(perm, perm)]]
+    return grp.build_from_cayley(
+        table, generators=[int(perm[s]) for s in base.generators])
+
+
+def test_is_cocycle_matches_full_sweep_on_corruptions():
+    relabelled = _relabelled_z4_z4()
+    assert min(relabelled.generators) > relabelled.order // 2
+    rng = np.random.default_rng(31)
+    for c in (heisenberg_cocycle(3), pairing_cocycle(relabelled, 4)):
+        g, m = c.group, c.modulus
+        n = g.order
+        mul = g.mul_table().astype(np.int64)
+        assert cx.is_cocycle(c) == (True, None)
+        for trial in range(60):
+            lam = rng.integers(0, m, size=n)
+            lam[0] = 0
+            tab = (c.table + lam[:, None] + lam[None, :] - lam[mul]) % m
+            for _ in range(1 + trial % 4):
+                h, k = rng.integers(1, n, size=2)
+                tab[h, k] += rng.integers(1, m)
+            broken = cx.Cocycle2(g, m, tab)
+            assert cx.is_cocycle(broken) == _first_failing_triple_by_sweep(broken)
+
+
 def test_coboundary_of_formula():
     z4 = grp.cyclic(4)
     lam = cx.Cochain1(z4, 4, [0, 1, 2, 3])  # the discrete log itself

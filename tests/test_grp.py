@@ -78,6 +78,19 @@ def test_corrupted_table_rejected():
         grp.build_from_cayley(table)
 
 
+def test_nonassociative_latin_table_above_order_256_rejected():
+    # Z_2048 with one intercalate swapped stays a Latin square with identity
+    # and right inverses, so only associativity fails, and on few triples
+    n = 2048
+    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    for a, b, c in ((3, 5, 1029), (1027, 1029, 5)):
+        table[a, b], table[a, c] = table[a, c], table[a, b]
+    with pytest.raises(NotAGroupError) as info:
+        grp.build_from_cayley(table, generators=[1])
+    x, y, z = info.value.witness
+    assert table[table[x, y], z] != table[x, table[y, z]]
+
+
 def test_identity_relocation():
     # shift the identity away from index 0 and expect relocation
     base = [[(a + b) % 3 for b in range(3)] for a in range(3)]

@@ -30,6 +30,16 @@ def test_matrix_closure_literal_pauli_pair():
     assert rep.matrices[g.mul(iq, iq)] == minus
 
 
+def test_matrix_closure_is_multiplicative():
+    p, q, n = ex.clock_and_shift(3)
+    g, rep = rp.matrix_closure([p, q], order=n)
+    assert g.order <= 64
+    assert rep.matrices[0].is_identity()
+    for a in range(g.order):
+        for b in range(g.order):
+            assert rep.matrices[a] * rep.matrices[b] == rep.matrices[g.mul(a, b)]
+
+
 def test_matrix_closure_rejects_singular():
     with pytest.raises(NonInvertibleGeneratorError):
         rp.matrix_closure([CycloMatrix([[1, 0], [0, 0]])])
