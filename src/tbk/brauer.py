@@ -11,6 +11,7 @@ bicyclic subgroups acting cyclically, and the two must agree.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -238,9 +239,33 @@ class SpanReport:
 
 
 def _beta_row(c: _cx.Cocycle2, pairs: np.ndarray) -> np.ndarray:
-    t = c.table.astype(np.int64)
     a, b = pairs[:, 0], pairs[:, 1]
-    return (t[a, b] - t[b, a]) % c.modulus
+    return (c.table[a, b].astype(np.int64) - c.table[b, a]) % c.modulus
+
+
+def _trivial_combinations(basis: list[_cx.Cocycle2]) -> np.ndarray:
+    """Howell form over Z_m of the t with sum t_i c_i a torus coboundary.
+
+    With M = m * exp(G) the torus lift of sum t_i c_i is sum t_i (exp(G) c_i)
+    mod M, so its edge right-hand side is linear in t and "d(lambda) equals
+    it on the edges" is one homogeneous system in (lambda_gens, t) over
+    Z_M. The trivial combinations are the t-projection of its solution
+    module, read mod m.
+    """
+    g = basis[0].group
+    m = basis[0].modulus
+    f = g.exponent()
+    big = m * f
+    gens = list(g.generators)
+    rhs = []
+    for c in basis:
+        edges = c.table[:, gens].astype(np.int64) * f % big
+        _, coef, b = _cx.edge_system(g, edges, big)
+        rhs.append(-b)
+    k = coef.shape[1]
+    system = np.unique(np.column_stack([coef] + rhs) % big, axis=0)
+    solutions = zmlin.right_kernel(system, big)
+    return zmlin.howell_form(solutions[:, k:] % m, m)
 
 
 def span_analysis(basis: list[_cx.Cocycle2],
@@ -248,10 +273,14 @@ def span_analysis(basis: list[_cx.Cocycle2],
     """Locate the obstruction subgroup inside the span of a class catalog.
 
     Builds the beta matrix of the catalog over the active commuting pairs
-    (all pairs for B0, open-set-filtered pairs when a model is supplied),
-    takes its kernel sublattice = span intersect B0 (or B(U)), classifies
-    representatives through the torus-sense coboundary solver and reports
-    the invariant factors of the kernel modulo the trivial classes.
+    (all pairs for B0, open-set-filtered pairs when a model is supplied)
+    and takes its kernel K = span intersect B0 (or B(U)). The torus-trivial
+    combinations T, a subgroup of K, come from one linear solve. A kernel
+    generator is trivial when it reduces to zero against the Howell form of
+    T, and the Smith form of K / T gives the invariant factors, largest
+    first. ``nontrivial_example`` is the lexicographically least coefficient
+    vector whose class has maximal order in K / T: Howell reduction against
+    T gives each coset's least element, so only the quotient is enumerated.
     """
     if not basis:
         return SpanReport(0, 0, 0, (), (), (), None)
@@ -275,144 +304,31 @@ def span_analysis(basis: list[_cx.Cocycle2],
 
     mat = np.array([_beta_row(c, pairs) for c in basis], dtype=np.int64)
     kernel_rows = zmlin.left_kernel(mat, m)
-
-    def combo(vec) -> _cx.Cocycle2:
-        out = _cx.Cocycle2.zero(g, m)
-        for t, c in zip(vec, basis):
-            if t % m:
-                out = out + c.scale(int(t) % m)
-        return out
-
-    def trivial(vec) -> bool:
-        return _cx.is_coboundary(combo(vec), sense="torus") is not None
-
-    gen_rows = [tuple(int(x) for x in row) for row in kernel_rows]
-    verdicts = [trivial(row) for row in kernel_rows]
-
-    # enumerate the (small) kernel sublattice and grow the trivial subgroup
-    k = len(basis)
-    elements: set[tuple[int, ...]] = {tuple([0] * k)}
-    frontier = list(elements)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for row in gen_rows:
-                w = tuple((a + b) % m for a, b in zip(v, row))
-                if w not in elements:
-                    elements.add(w)
-                    nxt.append(w)
-        frontier = nxt
-
-    trivial_set: set[tuple[int, ...]] = {tuple([0] * k)}
-    for row, verdict in zip(gen_rows, verdicts):
-        if verdict:
-            trivial_set.add(row)
-    trivial_set = _close_subgroup(trivial_set, m)
-    changed = True
-    verdict_cache: dict[tuple[int, ...], bool] = {v: True for v in trivial_set}
-    while changed:
-        changed = False
-        cosets = _cosets(elements, trivial_set, m)
-        for rep_vec in cosets:
-            if rep_vec in trivial_set or not any(rep_vec):
-                continue
-            if rep_vec not in verdict_cache:
-                verdict_cache[rep_vec] = trivial(rep_vec)
-            if verdict_cache[rep_vec]:
-                trivial_set.add(rep_vec)
-                trivial_set = _close_subgroup(trivial_set, m)
-                changed = True
-                break
-
-    factors, example = _quotient_invariants(elements, trivial_set, m)
-    return SpanReport(m, k, len(pairs), tuple(gen_rows), tuple(verdicts),
-                      factors, example)
+    trivial = _trivial_combinations(basis)
+    live = zmlin.howell_reduce(kernel_rows, trivial, m).any(axis=1)
+    factors, gens = zmlin.quotient(kernel_rows, trivial, m)
+    example = _least_of_maximal_order(factors, gens, trivial, m) \
+        if factors else None
+    return SpanReport(m, len(basis), len(pairs),
+                      tuple(tuple(int(x) for x in row) for row in kernel_rows),
+                      tuple(not v for v in live), factors, example)
 
 
-def _close_subgroup(gens: set, m: int) -> set:
-    out = set(gens)
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in list(gens):
-                u = tuple((a + b) % m for a, b in zip(v, w))
-                if u not in out:
-                    out.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return out
+def _least_of_maximal_order(factors: tuple[int, ...], gens: np.ndarray,
+                            trivial: np.ndarray, m: int) -> tuple[int, ...]:
+    """Least coset element over the classes of maximal order in K / T.
 
-
-def _cosets(elements: set, sub: set, m: int) -> list:
-    reps = {}
-    for v in sorted(elements):
-        key = min(tuple((a - b) % m for a, b in zip(v, w)) for w in sub)
-        reps.setdefault(key, v)
-    return [reps[k] for k in sorted(reps)]
-
-
-def _quotient_invariants(elements: set, sub: set, m: int
-                         ) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
-    """Invariant factors of elements/sub, with a generator of a top factor."""
-    k = len(next(iter(elements)))
-    zero = tuple([0] * k)
-
-    def coset(v):
-        return min(tuple((a - b) % m for a, b in zip(v, w)) for w in sub)
-
-    quotient = {coset(v) for v in elements}
-    if quotient == {zero}:
-        return (), None
-
-    def q_add(u, v):
-        return coset(tuple((a + b) % m for a, b in zip(u, v)))
-
-    def q_order(v):
-        o, w = 1, v
-        while w != zero:
-            w = q_add(w, v)
-            o += 1
-        return o
-
-    factors = []
-    example = None
-    remaining = set(quotient)
-    while len(remaining) > 1:
-        cand = max(sorted(remaining - {zero}), key=q_order)
-        o = q_order(cand)
-        factors.append(o)
-        if example is None:
-            example = cand
-        cyc = set()
-        w = zero
-        for _ in range(o):
-            cyc.add(w)
-            w = q_add(w, cand)
-        comp = {zero}
-        for v in sorted(remaining):
-            trial = _close_quotient(comp | {v}, q_add)
-            if trial & cyc == {zero}:
-                comp = trial
-        if len(comp) * o != len(remaining):
-            raise InternalDisagreementError("quotient basis extraction failed")
-        remaining = comp
-    return tuple(factors), example
-
-
-def _close_quotient(gens: set, add) -> set:
-    out = set(gens)
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in list(gens):
-                u = add(v, w)
-                if u not in out:
-                    out.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return out
+    ``gens`` generate the cyclic summands Z/factors[i] of K / T; a class
+    sum a_i gens_i has maximal order factors[0] exactly when the lcm of
+    factors[i] / gcd(a_i, factors[i]) reaches it.
+    """
+    coords = np.array(list(itertools.product(*(range(d) for d in factors))),
+                      dtype=np.int64)
+    d = np.array(factors, dtype=np.int64)
+    orders = d // np.gcd(coords, d)
+    top = np.lcm.reduce(orders, axis=1) == factors[0]
+    reps = zmlin.howell_reduce(coords[top] @ gens, trivial, m)
+    return min(tuple(int(x) for x in row) for row in reps)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .errors import (
     NotNormalizedError,
 )
 from .grp import AbelianStructure, CentralExtension, Character, FiniteGroup, Subgroup
-from .zmlin import HowellBasis, ZmMatrix, howell_form
 
 H2_DEFAULT_CAP = 32
 ASSOC_SMOKE_SEED = 1
@@ -228,6 +227,32 @@ def _bfs_words(g: FiniteGroup) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return counts, parents
 
 
+def edge_system(g: FiniteGroup, edges: np.ndarray, modulus: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edge constraints d(lambda) = c over Z_modulus.
+
+    ``edges`` holds the generator columns of c, edges[a, j] = c(a, gen_j).
+    Along a BFS spanning tree lambda(x) = off[x] + counts[x] . lambda_gens,
+    and d(lambda) agrees with c on the n*k edges (a, gen_j) exactly when
+    coef @ lambda_gens == rhs. Returns (off, coef, rhs); coef does not
+    depend on c and rhs is linear in it.
+    """
+    n = g.order
+    counts, parents = _bfs_words(g)
+    k = counts.shape[1]
+    gens = list(g.generators)
+    off = np.zeros(n, dtype=np.int64)
+    for x in np.argsort(counts.sum(axis=1), kind="stable"):
+        y, j = parents[x]
+        if y < 0:
+            continue
+        off[x] = (off[y] - edges[y, j]) % modulus
+    prod = g.mul_table()[:, gens]
+    coef = (counts[:, None] + counts[gens] - counts[prod]) % modulus
+    rhs = (edges - off[:, None] - off[gens][None, :] + off[prod]) % modulus
+    return off, coef.reshape(n * k, k), rhs.reshape(n * k)
+
+
 def is_coboundary(c: Cocycle2, sense: str = "torus") -> Cochain1 | None:
     """Definitive coboundary test; returns a witness cochain or None.
 
@@ -239,7 +264,8 @@ def is_coboundary(c: Cocycle2, sense: str = "torus") -> Cochain1 | None:
     the edges (a, s) with s a generator (see ``_edge_parametrization``), so
     the n*k edge constraints imply all n^2. The system is solved exactly by
     Howell reduction and infeasibility of that system is a proof that no
-    witness exists.
+    witness exists. The generator values are the lexicographically least
+    solution, so the witness depends only on c.
     """
     ensure_cocycle(c)
     if sense not in ("torus", "mod-m"):
@@ -252,30 +278,14 @@ def is_coboundary(c: Cocycle2, sense: str = "torus") -> Cochain1 | None:
         m_target = c.modulus
         lifted = c
     table = lifted.table.astype(np.int64)
-    n = g.order
-    counts, parents = _bfs_words(g)
-    k = counts.shape[1]
-    gens = list(g.generators)
-    # offsets: lambda(x) = off[x] + counts[x] . lambda_gens
-    off = np.zeros(n, dtype=np.int64)
-    order_by_word = sorted(range(n), key=lambda x: int(counts[x].sum()))
-    for x in order_by_word:
-        y, j = parents[x]
-        if y < 0:
-            continue
-        off[x] = (off[y] - table[y, gens[j]]) % m_target
-
-    prod = g.mul_table()[:, gens]
-    coef = (counts[:, None] + counts[gens] - counts[prod]) % m_target
-    rhs = (table[:, gens] - off[:, None] - off[gens][None, :] + off[prod]) % m_target
-    block = np.concatenate([coef, rhs[:, :, None]], axis=2)
-    system = np.unique(block.reshape(n * k, k + 1), axis=0)
-    aug_a, aug_b = system[:, :k], system[:, k]
-    sol = zmlin.solve(aug_a, aug_b, m_target)
+    off, coef, rhs = edge_system(g, table[:, list(g.generators)], m_target)
+    k = coef.shape[1]
+    system = np.unique(np.column_stack([coef, rhs]), axis=0)
+    sol = zmlin.solve(system[:, :k], system[:, k], m_target)
     if sol is None:
         return None
-    lam_gens = sol[0]
-    lam = (off + counts @ lam_gens) % m_target
+    counts, _ = _bfs_words(g)
+    lam = (off + counts @ sol[0]) % m_target
     witness = Cochain1(g, m_target, lam)
     assert np.array_equal(coboundary_of(witness).table.astype(np.int64),
                           table % m_target)
@@ -527,7 +537,8 @@ def h2_small(g: FiniteGroup, cap: int = H2_DEFAULT_CAP
     class), then quotients by coboundaries together with the Bockstein
     classes of Z_m-characters: the latter are exactly the classes that die
     with circle coefficients, so the result is H^2(G, C^*). The system is
-    pre-reduced to the edge unknowns c(x, gen_j) along a BFS tree. Returns
+    pre-reduced to the edge unknowns c(x, gen_j) along a BFS tree, and
+    ``zmlin.quotient`` presents cocycles / killers by a Smith form. Returns
     the invariant factors (largest first) and one representative per factor.
     """
     n = g.order
@@ -555,18 +566,7 @@ def h2_small(g: FiniteGroup, cap: int = H2_DEFAULT_CAP
     for j in range(k):
         pins[j, j] = 1  # normalization: c(1, gen_j) = 0
     system = np.unique(np.vstack(blocks + [pins]), axis=0)
-    h_eq = howell_form(system, m)
-
-    kernel_gens = zmlin.left_kernel(h_eq.T, m) if len(h_eq) else \
-        np.eye(width, dtype=np.int64)
-    k_rows = howell_form(kernel_gens, m)
-    r = len(k_rows)
-    if r == 0:
-        return AbelianStructure((), ()), []
-
-    k_basis = HowellBasis(m, width)
-    for row in k_rows:
-        k_basis.insert(row)
+    k_rows = zmlin.right_kernel(system, m)
 
     def edge_coords(tab: np.ndarray) -> np.ndarray:
         out = np.empty(width, dtype=np.int64)
@@ -583,35 +583,12 @@ def h2_small(g: FiniteGroup, cap: int = H2_DEFAULT_CAP
     for chi in _character_generators(g, m):
         killers.append(edge_coords(_bockstein(chi, mul, m)))
 
-    expresser = zmlin.SpanSolver(k_rows, m)
-    coeff_rows = []
-    for b in killers:
-        assert not k_basis.reduce(b).any(), "killer class is not a cocycle"
-        t = expresser.coefficients(b)
-        assert t is not None
-        coeff_rows.append(t)
-
-    relations = zmlin.left_kernel(k_rows, m)
-    pres = np.vstack([relations, np.array(coeff_rows, dtype=np.int64)]) \
-        if coeff_rows else relations
-    if len(pres) == 0:
-        pres = np.zeros((1, r), dtype=np.int64)
-    diag, vinv = zmlin.smith_form(pres, m, track_vinv=True)
-
-    factors = []
+    factors, sols = zmlin.quotient(k_rows, np.array(killers), m)
     reps = []
-    for i, d in enumerate(diag):
-        if d <= 1:
-            continue
-        sol = (vinv[i] @ k_rows) % m
-        tab = np.einsum("ghx,x->gh", v, sol) % m
-        rep = Cocycle2(g, m, tab)
+    for sol in sols:
+        rep = Cocycle2(g, m, np.einsum("ghx,x->gh", v, sol) % m)
         ensure_cocycle(rep)
-        factors.append(int(d))
         reps.append(rep)
-    pairs = sorted(zip(factors, reps), key=lambda p: -p[0])
-    factors = tuple(d for d, _ in pairs)
-    reps = [rep for _, rep in pairs]
     return AbelianStructure(factors, tuple(range(len(reps)))), reps
 
 
@@ -761,17 +738,3 @@ def twisted_assoc_check(c: Cocycle2, action: GroupAction
         if left != right:
             return False, None
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# Z_m solver surface (implemented in zmlin, re-exported here)
-
-
-def howell_solve(a: ZmMatrix, rhs) -> tuple[np.ndarray, np.ndarray] | None:
-    """Particular solution and null-space generators of A x = rhs, or None."""
-    return zmlin.zm_solve(a, rhs)
-
-
-def howell_canonical(a: ZmMatrix) -> ZmMatrix:
-    """Canonical Howell normal form of the row span."""
-    return a.howell()

@@ -4,16 +4,15 @@ The Howell form is the canonical echelon form for row spans over Z/mZ:
 two matrices have the same row span iff their Howell forms are identical.
 That property (which plain echelon forms lack over a ring with zero
 divisors) is what makes membership tests and kernels decidable here.
+Kernels, solving and quotients all run on ``howell_form`` and the one
+reduction against it, ``howell_reduce``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-
-from .errors import ModulusMismatchError
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -50,103 +49,6 @@ def unit_for(a: int, m: int) -> int:
     while gcd(b + t * step, m) != 1:
         t += 1
     return modinv(b + t * step, m)
-
-
-class HowellBasis:
-    """Incrementally built Howell basis of a row span in (Z/m)^width.
-
-    Rows are inserted one at a time and reduced against the current pivot
-    rows; pivot replacements and annihilator rows keep the span saturated,
-    so ``rows()`` is the canonical Howell normal form of everything
-    inserted so far.
-    """
-
-    def __init__(self, modulus: int, width: int):
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        self.modulus = modulus
-        self.width = width
-        self.pivots: dict[int, np.ndarray] = {}
-
-    def insert(self, row) -> None:
-        m = self.modulus
-        if m == 1:
-            return
-        stack = [np.asarray(row, dtype=np.int64) % m]
-        tmp = np.empty(self.width, dtype=np.int64)
-        while stack:
-            r = stack.pop()
-            if not r.flags.owndata or not r.flags.writeable:
-                r = r.copy()
-            start = 0
-            while True:
-                nz = np.nonzero(r[start:])[0]
-                if len(nz) == 0:
-                    break
-                j = start + int(nz[0])
-                v = int(r[j])
-                p = self.pivots.get(j)
-                if p is None:
-                    r = (r * unit_for(v, m)) % m
-                    self.pivots[j] = r
-                    g = int(r[j])
-                    if m // g > 1:
-                        stack.append((r * (m // g)) % m)
-                    break
-                d = int(p[j])
-                if v % d == 0:
-                    np.multiply(p, v // d, out=tmp)
-                    np.subtract(r, tmp, out=r)
-                    np.mod(r, m, out=r)
-                    start = j + 1
-                    continue
-                # gcd-combine the incoming row with the pivot row
-                g, s, t = egcd(d, v)
-                new = ((s * p + t * r) * unit_for((s * d + t * v) % m, m)) % m
-                self.pivots[j] = new
-                if m // g > 1:
-                    stack.append((new * (m // g)) % m)
-                stack.append((p - (d // g) * new) % m)
-                np.multiply(new, v // g, out=tmp)
-                np.subtract(r, tmp, out=r)
-                np.mod(r, m, out=r)
-                start = j + 1
-
-    def rows(self) -> np.ndarray:
-        """The canonical Howell form (pivot order, entries reduced above)."""
-        cols = sorted(self.pivots)
-        out = [self.pivots[j].copy() for j in cols]
-        for idx, j in enumerate(cols):
-            d = int(out[idx][j])
-            for prev in range(idx):
-                q = int(out[prev][j]) // d
-                if q:
-                    out[prev] = (out[prev] - q * out[idx]) % self.modulus
-        if not out:
-            return np.zeros((0, self.width), dtype=np.int64)
-        return np.array(out, dtype=np.int64)
-
-    def reduce(self, vec) -> np.ndarray:
-        """Reduce vec against the basis (no insertion); zero iff in the span."""
-        m = self.modulus
-        r = np.asarray(vec, dtype=np.int64) % m
-        if m == 1:
-            return r * 0
-        start = 0
-        while True:
-            nz = np.nonzero(r[start:])[0]
-            if len(nz) == 0:
-                return r
-            j = start + int(nz[0])
-            p = self.pivots.get(j)
-            if p is None:
-                return r
-            d = int(p[j])
-            v = int(r[j])
-            if v % d:
-                return r
-            r = (r - (v // d) * p) % m
-            start = j + 1
 
 
 def howell_form(mat, modulus: int) -> np.ndarray:
@@ -205,17 +107,33 @@ def howell_form(mat, modulus: int) -> np.ndarray:
             kept = int(live.sum())
             buf[:kept] = buf[:count][live]
             count = kept
-    out = [p for _, p in pivots]
-    cols = [j for j, _ in pivots]
-    for idx, j in enumerate(cols):
-        d = int(out[idx][j])
-        for prev in range(idx):
-            q = int(out[prev][j]) // d
-            if q:
-                out[prev] = (out[prev] - q * out[idx]) % m
-    if not out:
+    if not pivots:
         return np.zeros((0, width), dtype=np.int64)
-    return np.array(out, dtype=np.int64)
+    out = np.array([p for _, p in pivots], dtype=np.int64)
+    for i in range(len(out) - 2, -1, -1):
+        out[i] = howell_reduce(out[i], out[i + 1:], m)
+    return out
+
+
+def howell_reduce(vecs, howell: np.ndarray, modulus: int) -> np.ndarray:
+    """Remainder of each row of ``vecs`` modulo the row span of ``howell``.
+
+    ``howell`` is a Howell form. Walking its pivots in order and bringing
+    each pivot entry into [0, d) gives the lexicographically least element
+    of the coset vec + span: by the Howell property, the span elements that
+    vanish before a pivot column are spanned by the rows from that pivot
+    on. The remainder is zero exactly when vec lies in the span. A 1-D
+    ``vecs`` gives a 1-D remainder.
+    """
+    m = modulus
+    r = np.asarray(vecs, dtype=np.int64) % m
+    out = np.atleast_2d(r).copy()
+    for row in howell:
+        j = int(np.flatnonzero(row)[0])
+        q = out[:, j] // row[j]
+        if q.any():
+            out = (out - np.outer(q, row)) % m
+    return out.reshape(r.shape)
 
 
 def left_kernel(mat, modulus: int) -> np.ndarray:
@@ -241,83 +159,42 @@ def right_kernel(mat, modulus: int) -> np.ndarray:
     return left_kernel(h.T, modulus)
 
 
+def _solve_rows(mat, rhs_rows, modulus: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mat @ x == b mod modulus for every row b of ``rhs_rows`` at once.
+
+    Returns (xs, feasible, null): xs[i] is the lexicographically least
+    solution for row i when feasible[i] holds, and null holds the
+    Howell-form rows of the null space, which is the left kernel of mat^T.
+    """
+    m = modulus
+    a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+    rows, cols = a.shape
+    b = np.asarray(rhs_rows, dtype=np.int64).reshape(-1, rows)
+    # Column-span view: rows of [A^T | I] are (column of A, unit coeff vector).
+    h = howell_form(np.hstack([a.T % m, np.eye(cols, dtype=np.int64)]), m)
+    r = howell_reduce(np.hstack([b, np.zeros((len(b), cols), dtype=np.int64)]),
+                      h, m)
+    null = h[~h[:, :rows].any(axis=1)][:, rows:]
+    return howell_reduce(-r[:, rows:], null, m), ~r[:, :rows].any(axis=1), null
+
+
 def solve(mat, rhs, modulus: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Solve mat @ x == rhs mod modulus.
 
-    Returns (particular solution, null-space generator rows), or None when
-    the system is infeasible. Infeasibility is definitive: the reduction
-    walks the Howell form of the column span, where membership is decidable.
+    Returns (x, null): x is the lexicographically least solution and null
+    holds the Howell-form rows of the null space; or None when the system
+    is infeasible. Both depend only on the solution set, not on the order
+    of the rows or on redundant ones. Infeasibility is definitive: rhs is
+    reduced against the Howell form of the column span, where membership
+    is decidable.
     """
     a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
     b = np.asarray(rhs, dtype=np.int64)
-    rows, cols = a.shape
-    if b.shape != (rows,):
-        raise ValueError(f"rhs has shape {b.shape}, expected ({rows},)")
-    m = modulus
-    if m == 1:
-        return np.zeros(cols, dtype=np.int64), np.zeros((0, cols), dtype=np.int64)
-    # Column-span view: rows of [A^T | I] are (column of A, unit coeff vector).
-    aug = np.hstack([a.T % m, np.eye(cols, dtype=np.int64)])
-    basis = HowellBasis(m, rows + cols)
-    for row in aug:
-        basis.insert(row)
-    r = np.concatenate([b % m, np.zeros(cols, dtype=np.int64)])
-    while True:
-        lead = np.nonzero(r[:rows])[0]
-        if len(lead) == 0:
-            break
-        j = int(lead[0])
-        p = basis.pivots.get(j)
-        if p is None:
-            return None
-        d = int(p[j])
-        v = int(r[j])
-        if v % d:
-            return None
-        r = (r - (v // d) * p) % m
-    x = (-r[rows:]) % m
-    h = basis.rows()
-    mask = ~h[:, :rows].any(axis=1) if len(h) else np.zeros(0, dtype=bool)
-    null = h[mask][:, rows:] if len(h) else np.zeros((0, cols), dtype=np.int64)
-    return x, null
-
-
-class SpanSolver:
-    """Repeated solve of t @ rows = target over Z_m, sharing one reduction."""
-
-    def __init__(self, rows: np.ndarray, modulus: int):
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-        self.count, self.width = rows.shape
-        self.modulus = modulus
-        aug = np.hstack([rows % modulus,
-                         np.eye(self.count, dtype=np.int64)])
-        self.basis = HowellBasis(modulus, self.width + self.count)
-        for row in aug:
-            self.basis.insert(row)
-
-    def coefficients(self, target) -> np.ndarray | None:
-        """t with t @ rows == target, or None when target is outside the span."""
-        m = self.modulus
-        if m == 1:
-            return np.zeros(self.count, dtype=np.int64)
-        r = np.concatenate([np.asarray(target, dtype=np.int64) % m,
-                            np.zeros(self.count, dtype=np.int64)])
-        start = 0
-        while True:
-            nz = np.nonzero(r[start:self.width])[0]
-            if len(nz) == 0:
-                break
-            j = start + int(nz[0])
-            p = self.basis.pivots.get(j)
-            if p is None:
-                return None
-            d = int(p[j])
-            v = int(r[j])
-            if v % d:
-                return None
-            r = (r - (v // d) * p) % m
-            start = j + 1
-        return (-r[self.width:]) % m
+    if b.shape != (a.shape[0],):
+        raise ValueError(f"rhs has shape {b.shape}, expected ({a.shape[0]},)")
+    xs, feasible, null = _solve_rows(a, b, modulus)
+    return (xs[0], null) if feasible[0] else None
 
 
 def smith_form(mat, modulus: int, track_vinv: bool = False):
@@ -434,31 +311,25 @@ def smith_form(mat, modulus: int, track_vinv: bool = False):
     return diag, vinv
 
 
-@dataclass(frozen=True)
-class ZmMatrix:
-    """An integer matrix together with the modulus it lives under."""
+def quotient(gens, sub, modulus: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Invariant factors of span(gens) / span(sub) over Z/mZ.
 
-    modulus: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def make(cls, rows, modulus: int) -> "ZmMatrix":
-        a = np.atleast_2d(np.asarray(rows, dtype=np.int64)) % modulus
-        return cls(modulus, tuple(tuple(int(x) for x in r) for r in a))
-
-    def array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64)
-
-    def howell(self) -> "ZmMatrix":
-        return ZmMatrix.make(howell_form(self.array(), self.modulus), self.modulus)
-
-    def same_span(self, other: "ZmMatrix") -> bool:
-        if self.modulus != other.modulus:
-            raise ModulusMismatchError(
-                f"moduli differ: {self.modulus} vs {other.modulus}")
-        return self.howell() == other.howell()
-
-
-def zm_solve(a: ZmMatrix, rhs) -> tuple[np.ndarray, np.ndarray] | None:
-    """Particular solution plus null-space generators, or None."""
-    return solve(a.array(), rhs, a.modulus)
+    ``sub`` must lie in span(gens). The presentation has one generator per
+    row of ``gens``; its relations are the left kernel of ``gens`` plus the
+    coefficients that express each row of ``sub`` through ``gens``, and
+    ``smith_form`` diagonalizes them. Returns the nontrivial invariant
+    factors, largest first, and one vector of span(gens) per factor whose
+    class generates that cyclic summand.
+    """
+    m = modulus
+    g = np.atleast_2d(np.asarray(gens, dtype=np.int64)) % m
+    coeffs, feasible, relations = _solve_rows(g.T, sub, m)
+    if not feasible.all():
+        raise ValueError("sub is not contained in span(gens)")
+    pres = np.vstack([relations, coeffs])
+    if len(pres) == 0:
+        pres = np.zeros((1, len(g)), dtype=np.int64)
+    diag, vinv = smith_form(pres, m, track_vinv=True)
+    order = sorted((i for i, d in enumerate(diag) if d > 1),
+                   key=lambda i: -diag[i])
+    return tuple(int(diag[i]) for i in order), (vinv[order] @ g) % m

@@ -368,3 +368,26 @@ def test_criterion_12_small_twisted_dimension():
         report = br.orbifold_dims(model, c)
         assert report.twisted_total == 1
         assert report.untwisted_total == 9
+
+
+def test_criterion_13_full_catalog_span_p2():
+    from tests.test_brauer import reference_span_analysis
+
+    b = _bundle(2)
+    catalog = [b.cocycle(n) for n in b.catalog_names]
+    assert len(catalog) == 13
+    with criterion(13, "13-class p=2 span == set-enumeration reference", 120):
+        for model in (None, b.model):
+            report = br.span_analysis(catalog, model)
+            assert report == reference_span_analysis(catalog, model)
+            assert report.invariant_factors == (2,)
+
+
+def test_criterion_14_full_catalog_span_p3():
+    b = _bundle(3)
+    catalog = [b.cocycle(n) for n in b.catalog_names]
+    assert len(catalog) == 32
+    with criterion(14, "32-class p=3 span is Z_3 modulo trivial classes", 60):
+        report = br.span_analysis(catalog)
+        assert report.invariant_factors == (3,)
+        assert len(report.kernel_generators) == 30

@@ -7,10 +7,10 @@ import pytest
 
 from tbk import brauer as br
 from tbk import cocycle as cx
-from tbk import grp
+from tbk import grp, zmlin
 from tbk import rep as rp
 from tbk.cyclo import CycloMatrix, CycloNumber
-from tbk.errors import NonIntegralDimensionError
+from tbk.errors import ModulusMismatchError, NonIntegralDimensionError
 
 from tests.test_cocycle import klein, pairing_cocycle
 
@@ -134,6 +134,258 @@ def test_span_analysis_klein_single_class():
     # the pairing class is not in B0 (all pairs commute), so the kernel is 0
     assert report.invariant_factors == ()
     assert report.kernel_generators in ((), ((0,),))
+
+
+# Reference for span_analysis: the set-enumeration algorithm it replaced.
+# Exponential in the catalog size, so only for small catalogs.
+
+
+def reference_span_analysis(basis, model=None) -> br.SpanReport:
+    """Brute-force span analysis: enumerate the kernel sublattice as a set,
+    grow the trivial subgroup by torus coboundary solves on coset minima,
+    and split the quotient by repeated cyclic-summand extraction.
+    """
+    if not basis:
+        return br.SpanReport(0, 0, 0, (), (), (), None)
+    g = basis[0].group
+    m = basis[0].modulus
+    for c in basis:
+        if c.group is not g or c.modulus != m:
+            raise ModulusMismatchError("catalog entries are not compatible")
+        cx.ensure_cocycle(c)
+    if model is not None and model.group is not g:
+        raise ModulusMismatchError("model group does not match the catalog")
+
+    flags = br._open_flags(model) if model is not None else None
+    pair_list: list[tuple[int, int]] = []
+    for rep_ in grp.class_representatives(g):
+        if flags is not None and not flags[rep_]:
+            continue
+        z = grp.centralizer(g, rep_)
+        pair_list.extend((rep_, int(h)) for h in z.elements)
+    pairs = np.array(pair_list, dtype=np.int64).reshape(-1, 2)
+
+    mat = np.array([br._beta_row(c, pairs) for c in basis], dtype=np.int64)
+    kernel_rows = zmlin.left_kernel(mat, m)
+
+    def combo(vec) -> cx.Cocycle2:
+        out = cx.Cocycle2.zero(g, m)
+        for t, c in zip(vec, basis):
+            if t % m:
+                out = out + c.scale(int(t) % m)
+        return out
+
+    def trivial(vec) -> bool:
+        return cx.is_coboundary(combo(vec), sense="torus") is not None
+
+    gen_rows = [tuple(int(x) for x in row) for row in kernel_rows]
+    verdicts = [trivial(row) for row in kernel_rows]
+
+    # enumerate the (small) kernel sublattice and grow the trivial subgroup
+    k = len(basis)
+    elements: set[tuple[int, ...]] = {tuple([0] * k)}
+    frontier = list(elements)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for row in gen_rows:
+                w = tuple((a + b) % m for a, b in zip(v, row))
+                if w not in elements:
+                    elements.add(w)
+                    nxt.append(w)
+        frontier = nxt
+
+    trivial_set: set[tuple[int, ...]] = {tuple([0] * k)}
+    for row, verdict in zip(gen_rows, verdicts):
+        if verdict:
+            trivial_set.add(row)
+    trivial_set = _close_subgroup(trivial_set, m)
+    changed = True
+    verdict_cache: dict[tuple[int, ...], bool] = {v: True for v in trivial_set}
+    while changed:
+        changed = False
+        cosets = _cosets(elements, trivial_set, m)
+        for rep_vec in cosets:
+            if rep_vec in trivial_set or not any(rep_vec):
+                continue
+            if rep_vec not in verdict_cache:
+                verdict_cache[rep_vec] = trivial(rep_vec)
+            if verdict_cache[rep_vec]:
+                trivial_set.add(rep_vec)
+                trivial_set = _close_subgroup(trivial_set, m)
+                changed = True
+                break
+
+    factors, example = _quotient_invariants(elements, trivial_set, m)
+    return br.SpanReport(m, k, len(pairs), tuple(gen_rows), tuple(verdicts),
+                         factors, example)
+
+
+def _close_subgroup(gens: set, m: int) -> set:
+    out = set(gens)
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in list(gens):
+                u = tuple((a + b) % m for a, b in zip(v, w))
+                if u not in out:
+                    out.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return out
+
+
+def _cosets(elements: set, sub: set, m: int) -> list:
+    reps = {}
+    for v in sorted(elements):
+        key = min(tuple((a - b) % m for a, b in zip(v, w)) for w in sub)
+        reps.setdefault(key, v)
+    return [reps[k] for k in sorted(reps)]
+
+
+def _quotient_invariants(elements: set, sub: set, m: int
+                         ) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """Invariant factors of elements/sub, with a generator of a top factor."""
+    k = len(next(iter(elements)))
+    zero = tuple([0] * k)
+
+    def coset(v):
+        return min(tuple((a - b) % m for a, b in zip(v, w)) for w in sub)
+
+    quotient = {coset(v) for v in elements}
+    if quotient == {zero}:
+        return (), None
+
+    def q_add(u, v):
+        return coset(tuple((a + b) % m for a, b in zip(u, v)))
+
+    def q_order(v):
+        o, w = 1, v
+        while w != zero:
+            w = q_add(w, v)
+            o += 1
+        return o
+
+    factors = []
+    example = None
+    remaining = set(quotient)
+    while len(remaining) > 1:
+        cand = max(sorted(remaining - {zero}), key=q_order)
+        o = q_order(cand)
+        factors.append(o)
+        if example is None:
+            example = cand
+        cyc = set()
+        w = zero
+        for _ in range(o):
+            cyc.add(w)
+            w = q_add(w, cand)
+        comp = {zero}
+        for v in sorted(remaining):
+            trial = _close_quotient(comp | {v}, q_add)
+            if trial & cyc == {zero}:
+                comp = trial
+        if len(comp) * o != len(remaining):
+            raise AssertionError("quotient basis extraction failed")
+        remaining = comp
+    return tuple(factors), example
+
+
+def _close_quotient(gens: set, add) -> set:
+    out = set(gens)
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in list(gens):
+                u = add(v, w)
+                if u not in out:
+                    out.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return out
+
+
+def _diagonal_model(diagonals, order: int, threshold: int):
+    g, rep = rp.matrix_closure(
+        [CycloMatrix.diagonal(d) for d in diagonals], order=order)
+    return g, rp.build_model(rep, threshold)
+
+
+def _random_catalog(g: grp.FiniteGroup, m: int, forms, size: int,
+                    rng: random.Random) -> list[cx.Cocycle2]:
+    """Random combinations of the given classes, each shifted by a random
+    coboundary, with plain coboundaries mixed in."""
+    out = []
+    for _ in range(size):
+        c = cx.coboundary_of(cx.Cochain1(
+            g, m, [0] + [rng.randrange(m) for _ in range(g.order - 1)]))
+        if rng.random() < 0.8:
+            for f in forms:
+                c = c + f.scale(rng.randrange(m))
+        out.append(c)
+    return out
+
+
+def _pairing_forms(g: grp.FiniteGroup, m: int) -> list[cx.Cocycle2]:
+    """One bilinear form per coordinate pair i < j, scaled to be well defined."""
+    st = grp.abelian_structure(g)
+    r = len(st.invariant_factors)
+    out = []
+    for i in range(r):
+        for j in range(i + 1, r):
+            mat = np.zeros((r, r), dtype=np.int64)
+            d = np.gcd(np.gcd(st.invariant_factors[i], st.invariant_factors[j]), m)
+            mat[i, j] = m // d
+            out.append(cx.from_bilinear_form(
+                cx.BilinearForm(g, st, m, tuple(map(tuple, mat)))))
+    return out
+
+
+def test_span_analysis_matches_reference_on_random_abelian_catalogs():
+    # Threshold 1 puts every nontrivial fixed space in the arrangement, so
+    # B(U) is the whole span and K / T is the span of the pairings; larger
+    # thresholds and B0 cut it down. Z4 x Z4 x Z2 gives the factors (4, 2, 2).
+    i4 = CycloNumber.zeta(4)
+    one = CycloNumber.rational(1)
+    cases = [
+        ([[-1, 1], [1, -1]], 2, 2),
+        ([[-1, 1, 1], [1, -1, 1], [1, 1, -1]], 2, 2),
+        ([[i4, one], [one, -1]], 4, 4),
+        ([[i4, one, one], [one, i4, one], [one, one, -1]], 4, 4),
+    ]
+    rng = random.Random(43)
+    seen = set()
+    for diagonals, order, m in cases:
+        for threshold in (1, 2, len(diagonals[0]) + 1):
+            g, model = _diagonal_model(diagonals, order, threshold)
+            forms = _pairing_forms(g, m)
+            catalogs = [[f + c for f, c in zip(
+                forms, _random_catalog(g, m, [], len(forms), rng))]]
+            for size in (2, 3, 4):
+                catalogs.append(_random_catalog(g, m, forms, size, rng))
+            catalogs[-1][-1] = catalogs[-1][0] + catalogs[-1][1].scale(m - 1)
+            for catalog in catalogs:
+                for mdl in (None, model):
+                    got = br.span_analysis(catalog, mdl)
+                    assert got == reference_span_analysis(catalog, mdl)
+                    seen.add(got.invariant_factors)
+    assert {(), (2,), (2, 2), (2, 2, 2), (4, 2, 2)} <= seen, seen
+
+
+def test_span_analysis_matches_reference_on_nonabelian_catalogs():
+    d4, rep = rp.matrix_closure(
+        [CycloMatrix([[0, -1], [1, 0]]), CycloMatrix([[1, 0], [0, -1]])])
+    _, reps = cx.h2_small(d4)
+    rng = random.Random(47)
+    for threshold in (1, 2, 3):
+        model = rp.build_model(rep, threshold)
+        for size in (1, 2, 3):
+            catalog = _random_catalog(d4, 8, reps, size, rng)
+            for mdl in (None, model):
+                assert br.span_analysis(catalog, mdl) == \
+                    reference_span_analysis(catalog, mdl)
 
 
 def test_orbifold_scalar_mode_untwisted_counts_classes():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tbk import cocycle as cx
-from tbk import grp
+from tbk import grp, zmlin
 from tbk.errors import (
     DefectOutsideKernelError,
     IllDefinedFormError,
@@ -459,13 +459,12 @@ def test_beta_properties_random_classes():
                 assert lhs == rhs
 
 
-def test_howell_reexports():
-    a = cx.ZmMatrix.make([[2, 0], [0, 2]], 4)
-    assert cx.howell_canonical(a) == cx.howell_canonical(
-        cx.ZmMatrix.make([[2, 2], [0, 2]], 4))
-    sol = cx.howell_solve(cx.ZmMatrix.make([[2]], 4), [2])
+def test_zmlin_howell_and_solve():
+    assert np.array_equal(zmlin.howell_form([[2, 0], [0, 2]], 4),
+                          zmlin.howell_form([[2, 2], [0, 2]], 4))
+    sol = zmlin.solve([[2]], [2], 4)
     assert sol is not None and (2 * sol[0][0]) % 4 == 2
-    assert cx.howell_solve(cx.ZmMatrix.make([[2]], 4), [1]) is None
+    assert zmlin.solve([[2]], [1], 4) is None
 
 
 def test_d_squared_zero_exhaustive_mod2():
