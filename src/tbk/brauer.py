@@ -89,13 +89,12 @@ def in_B0(c: _cx.Cocycle2) -> MembershipVerdict:
 
 
 def _open_flags(model: LinearActionModel) -> dict[int, bool]:
-    g = model.group
-    cache = g._cache.setdefault("open_flags", {})
-    key = tuple(z.key() for z in model.arrangement)
-    if key not in cache:
+    """Open-set flag per class representative, surveyed once per model."""
+    if "open_flags" not in model._cache:
         survey = _rep.fixed_locus_survey(model)
-        cache[key] = {r.representative: r.meets_open_set for r in survey.records}
-    return cache[key]
+        model._cache["open_flags"] = {
+            r.representative: r.meets_open_set for r in survey.records}
+    return model._cache["open_flags"]
 
 
 def in_BG(c: _cx.Cocycle2, model: LinearActionModel) -> MembershipVerdict:
@@ -170,7 +169,7 @@ def _cyclic_quotient_exists_with_open_fixed_space(
                 for x in els):
             continue  # A/K is not cyclic
         w = _pointwise_fixed_space(rep, k_sub.witness_generators)
-        if _rep.meets_complement(w, model.arrangement):
+        if _rep.meets_complement(w, model):
             return True, k_sub, rep.degree - w.dim
     return False, None, -1
 

@@ -8,7 +8,7 @@ computed from those matrices with no rounding anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
 from . import grp as _grp
@@ -44,15 +44,27 @@ class MatrixRep:
 
 @dataclass(frozen=True)
 class LinearActionModel:
-    """Representation plus a stable arrangement of proper subspaces."""
+    """Representation plus a stable arrangement of proper subspaces.
+
+    What depends only on the arrangement is computed once per model and
+    kept in ``_cache``: the members grouped by dimension here, the open-set
+    flags in ``brauer``.
+    """
 
     rep: MatrixRep
     arrangement: tuple[Subspace, ...]
     codim_threshold: int | None = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def group(self) -> FiniteGroup:
         return self.rep.group
+
+    def members_by_dim(self) -> dict[int, dict[tuple, Subspace]]:
+        if "members_by_dim" not in self._cache:
+            self._cache["members_by_dim"] = _members_by_dim(self.arrangement)
+        return self._cache["members_by_dim"]
 
 
 @dataclass(frozen=True)
@@ -192,14 +204,45 @@ def contained(w1: Subspace, w2: Subspace) -> bool:
     return w2.contains(w1)
 
 
+def _members_by_dim(arrangement) -> dict[int, dict[tuple, Subspace]]:
+    """Members by dimension, each under its (order, key).
+
+    ``Subspace.key`` leaves out the cyclotomic order, and equal keys over
+    different orders (a line over Q(zeta_3) and one over Q(zeta_4)) can be
+    different spaces, so the order is part of the identity.
+    """
+    out: dict[int, dict[tuple, Subspace]] = {}
+    for z in arrangement:
+        out.setdefault(z.dim, {})[(z.order, z.key())] = z
+    return out
+
+
 def meets_complement(w: Subspace, arrangement) -> bool:
     """True iff w is not contained in any single member of the arrangement.
 
     Over an infinite field a subspace lies in a finite union of subspaces
     iff it lies in one of them, so this decides whether w meets the open
     complement of the union.
+
+    The decision goes by dimension first, since w inside Z forces
+    dim w <= dim Z. With no member of dimension at least dim w, w meets
+    the complement; for a threshold model that is exactly codim w < t.
+    When w is itself a member it does not; for a threshold model every
+    fixed space of codimension at least t is one. Only otherwise do the
+    members of dimension at least dim w go through ``Subspace.contains``.
+    ``arrangement`` is a sequence of subspaces, or a model, which groups
+    its members by dimension once instead of on every call.
     """
-    return not any(z.contains(w) for z in arrangement)
+    by_dim = (arrangement.members_by_dim()
+              if isinstance(arrangement, LinearActionModel)
+              else _members_by_dim(arrangement))
+    candidates = [z for dim, members in by_dim.items() if dim >= w.dim
+                  for z in members.values()]
+    if not candidates:
+        return True
+    if (w.order, w.key()) in by_dim.get(w.dim, {}):
+        return False
+    return not any(z.contains(w) for z in candidates)
 
 
 def build_model(rep: MatrixRep, threshold: int) -> LinearActionModel:
@@ -229,7 +272,13 @@ def _assert_stable(rep: MatrixRep, arrangement) -> None:
 
 
 def fixed_locus_survey(model: LinearActionModel) -> FixedLocusSurvey:
-    """Per-class fixed space, codimension and openness flags."""
+    """Per-class fixed space, codimension and openness flags.
+
+    A flag is ``meets_complement`` of the class's fixed space, which
+    decides by dimension before it tests any containment: a fixed space
+    larger than every member meets the open set, and one that is a member
+    does not. For a threshold model that leaves no containment test at all.
+    """
     rep = model.rep
     g = rep.group
     degree = rep.degree
@@ -239,7 +288,7 @@ def fixed_locus_survey(model: LinearActionModel) -> FixedLocusSurvey:
         x = int(cls[0])
         w = rep.fixed_space(x)
         codim = degree - w.dim
-        flag = meets_complement(w, model.arrangement)
+        flag = meets_complement(w, model)
         records.append(FixedLocusRecord(x, len(cls), codim, w, flag))
         if x != 0:
             by_codim.setdefault(codim, {})[w.key()] = w
@@ -249,7 +298,7 @@ def fixed_locus_survey(model: LinearActionModel) -> FixedLocusSurvey:
             y = g.conj(t, rec.representative)
             wy = rep.fixed_space(y)
             assert degree - wy.dim == rec.codim
-            assert meets_complement(wy, model.arrangement) == rec.meets_open_set
+            assert meets_complement(wy, model) == rec.meets_open_set
     spaces = {c: tuple(sorted(d.values(), key=lambda s: s.key()))
               for c, d in sorted(by_codim.items())}
     return FixedLocusSurvey(tuple(records), spaces)

@@ -391,3 +391,20 @@ def test_criterion_14_full_catalog_span_p3():
         report = br.span_analysis(catalog)
         assert report.invariant_factors == (3,)
         assert len(report.kernel_generators) == 30
+
+
+def test_criterion_15_open_flags_p3():
+    b = _bundle(3)
+    catalog = [b.cocycle(n) for n in b.catalog_names]
+    # a model of its own, so that no earlier criterion has cached its flags
+    model = rp.LinearActionModel(b.rep, b.model.arrangement,
+                                 b.model.codim_threshold)
+    with criterion(15, "p=3 open-set flags by dimension; B_G(U) span", 20):
+        survey = rp.fixed_locus_survey(model)
+        assert len(survey.records) == 171
+        open_classes = [r for r in survey.records if r.meets_open_set]
+        assert open_classes == [r for r in survey.records if r.codim <= 3]
+        assert len(open_classes) == 5
+        assert br.in_BG(b.cocycle("e12"), model).member
+        report = br.span_analysis(catalog, model)
+        assert report.invariant_factors == (3, 3, 3)

@@ -120,6 +120,35 @@ def test_trivial_group_vacuously_in_bg():
     assert br.in_BG_bicyclic(c, model).member
 
 
+def test_open_flags_are_surveyed_once_per_model(bundle_p2, monkeypatch):
+    b = bundle_p2
+    model = rp.LinearActionModel(b.rep, b.model.arrangement,
+                                 b.model.codim_threshold)
+    calls = []
+    survey = rp.fixed_locus_survey
+
+    def counting(m):
+        calls.append(m)
+        return survey(m)
+
+    monkeypatch.setattr(rp, "fixed_locus_survey", counting)
+    c = b.cocycle("e12")
+    forms = [b.cocycle(x) for x in b.catalog_names if x[1].isdigit()]
+    br.in_BG(c, model)
+    br.orbifold_dims(model, c)
+    br.verify_cor53(model, c)
+    br.span_analysis(forms, model)
+    assert calls == [model]
+    flags = br._open_flags(model)
+    assert not all(flags.values())
+    # a second model on the same group keeps its own flags
+    open_model = rp.build_model(b.rep, b.rep.degree + 1)
+    br.in_BG(c, open_model)
+    assert calls == [model, open_model]
+    assert all(br._open_flags(open_model).values())
+    assert br._open_flags(model) == flags
+
+
 def test_span_analysis_empty():
     report = br.span_analysis([])
     assert report.invariant_factors == ()

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from tbk import brauer as br
 from tbk import example as ex
 from tbk import grp
 from tbk import rep as rp
@@ -130,6 +133,100 @@ def test_contained_and_meets_complement():
     assert rp.contained(e1, e1)
     assert rp.meets_complement(diag, [e1, e2])
     assert not rp.meets_complement(e1, [e1, e2])
+
+
+def reference_meets_complement(w, arrangement) -> bool:
+    """The definition: w lies in no single member of the arrangement."""
+    return not any(z.contains(w) for z in arrangement)
+
+
+def _random_subspace(rng: random.Random, ambient: int, dim: int) -> Subspace:
+    while True:
+        vecs = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(dim)]
+        w = Subspace.from_vectors(ambient, vecs)
+        if w.dim == dim:
+            return w
+
+
+def _assert_decides_like_reference(w, arrangement, model=None):
+    want = reference_meets_complement(w, arrangement)
+    assert rp.meets_complement(w, arrangement) == want
+    if model is not None:
+        assert rp.meets_complement(w, model) == want
+
+
+def test_meets_complement_on_every_fixed_space_p2(bundle_p2):
+    b = bundle_p2
+    model = rp.LinearActionModel(b.rep, b.model.arrangement,
+                                 b.model.codim_threshold)
+    for g in range(b.group.order):
+        w = b.rep.fixed_space(g)
+        _assert_decides_like_reference(w, model.arrangement, model)
+        # threshold model: open exactly below the threshold codimension
+        assert rp.meets_complement(w, model) == (
+            w.codim < model.codim_threshold)
+
+
+def test_meets_complement_on_fixed_spaces_of_subgroups_p2(bundle_p2):
+    b = bundle_p2
+    model = b.model
+    members = {z.key() for z in model.arrangement}
+    rng = random.Random(5)
+    outside = 0
+    for _ in range(40):
+        pair = [rng.randrange(b.group.order) for _ in range(2)]
+        w = br._pointwise_fixed_space(b.rep, pair)
+        outside += w.key() not in members
+        _assert_decides_like_reference(w, model.arrangement, model)
+    assert outside  # some V^K is no member and takes the containment path
+
+
+def test_meets_complement_on_mixed_dimension_arrangements():
+    rng = random.Random(7)
+    for _ in range(60):
+        ambient = rng.randint(2, 5)
+        arrangement = [_random_subspace(rng, ambient, rng.randint(0, ambient - 1))
+                       for _ in range(rng.randint(1, 5))]
+        queries = [_random_subspace(rng, ambient, rng.randint(0, ambient))
+                   for _ in range(4)]
+        # members, and subspaces of members, which no dimension count decides
+        for z in arrangement:
+            queries.append(z)
+            if z.dim:
+                queries.append(Subspace.from_vectors(ambient, z.basis[:-1]))
+        for w in queries:
+            _assert_decides_like_reference(w, arrangement)
+
+
+def test_meets_complement_on_a_member_and_on_equal_spaces_of_other_order():
+    line = Subspace.from_vectors(3, [[1, 1, 0]])
+    plane = Subspace.from_vectors(3, [[1, 0, 0], [0, 0, 1]])
+    assert not rp.meets_complement(line, [plane, line])
+    # the same line over Q(zeta_4): equal, though its (order, key) differs
+    wide = Subspace.from_vectors(3, [[1, 1, 0]], order=4)
+    assert wide == line and wide.order != line.order
+    for w, arrangement in ((wide, [plane, line]), (line, [plane, wide])):
+        assert not reference_meets_complement(w, arrangement)
+        assert not rp.meets_complement(w, arrangement)
+
+
+def test_meets_complement_separates_equal_keys_of_different_orders():
+    w3 = Subspace.from_vectors(2, [[1, CycloNumber.zeta(3)]])
+    w4 = Subspace.from_vectors(2, [[1, CycloNumber.zeta(4)]])
+    assert w3.key() == w4.key() and w3 != w4
+    for w, other in ((w3, w4), (w4, w3)):
+        assert reference_meets_complement(w, [other])
+        assert rp.meets_complement(w, [other])
+        assert not rp.meets_complement(w, [other, w])
+
+
+def test_meets_complement_with_empty_arrangement():
+    g, rep = rp.matrix_closure([CycloMatrix([[0, 1], [1, 0]])])
+    model = rp.build_model(rep, 3)
+    assert model.arrangement == ()
+    for w in (Subspace.zero(2), Subspace.full(2), rep.fixed_space(1)):
+        _assert_decides_like_reference(w, (), model)
+        assert rp.meets_complement(w, model)
 
 
 def test_build_model_extremes():
