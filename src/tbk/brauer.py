@@ -75,10 +75,30 @@ class MembershipVerdict:
 def in_B0(c: _cx.Cocycle2) -> MembershipVerdict:
     """beta must vanish on every commuting pair (scanned over class reps)."""
     _cx.ensure_cocycle(c)
+    return _beta_scan(c, None)
+
+
+def _active_representatives(g: _grp.FiniteGroup,
+                            model: LinearActionModel | None) -> list[int]:
+    """Class representatives whose commuting pairs the scans read.
+
+    All of them for B0; with a model, those whose fixed space meets the
+    open set.
+    """
+    reps = _grp.class_representatives(g)
+    if model is None:
+        return reps
+    flags = _open_flags(model)
+    return [r for r in reps if flags[r]]
+
+
+def _beta_scan(c: _cx.Cocycle2, model: LinearActionModel | None
+               ) -> MembershipVerdict:
+    """First commuting pair (r, h) with beta(r, h) != 0, r an active rep."""
     g = c.group
     m = c.modulus
     t = c.table.astype(np.int64)
-    for rep_ in _grp.class_representatives(g):
+    for rep_ in _active_representatives(g, model):
         z = _grp.centralizer(g, rep_)
         els = np.array(z.elements, dtype=np.int64)
         beta = (t[rep_, els] - t[els, rep_]) % m
@@ -103,19 +123,7 @@ def in_BG(c: _cx.Cocycle2, model: LinearActionModel) -> MembershipVerdict:
     g = c.group
     if model.group is not g:
         raise ModulusMismatchError("model group does not match the cocycle")
-    m = c.modulus
-    t = c.table.astype(np.int64)
-    flags = _open_flags(model)
-    for rep_, flag in flags.items():
-        if not flag:
-            continue
-        z = _grp.centralizer(g, rep_)
-        els = np.array(z.elements, dtype=np.int64)
-        beta = (t[rep_, els] - t[els, rep_]) % m
-        bad = np.nonzero(beta)[0]
-        if len(bad):
-            return MembershipVerdict(False, (rep_, int(els[bad[0]])))
-    return MembershipVerdict(True, None)
+    return _beta_scan(c, model)
 
 
 @dataclass(frozen=True)
@@ -292,14 +300,9 @@ def span_analysis(basis: list[_cx.Cocycle2],
     if model is not None and model.group is not g:
         raise ModulusMismatchError("model group does not match the catalog")
 
-    flags = _open_flags(model) if model is not None else None
-    pair_list: list[tuple[int, int]] = []
-    for rep_ in _grp.class_representatives(g):
-        if flags is not None and not flags[rep_]:
-            continue
-        z = _grp.centralizer(g, rep_)
-        pair_list.extend((rep_, int(h)) for h in z.elements)
-    pairs = np.array(pair_list, dtype=np.int64).reshape(-1, 2)
+    pairs = np.array([(rep_, h) for rep_ in _active_representatives(g, model)
+                      for h in _grp.centralizer(g, rep_).elements],
+                     dtype=np.int64).reshape(-1, 2)
 
     mat = np.array([_beta_row(c, pairs) for c in basis], dtype=np.int64)
     kernel_rows = zmlin.left_kernel(mat, m)

@@ -25,27 +25,10 @@ from .errors import (
 DEFAULT_ORDER_BOUND = 1000
 
 
-def _poly_trim(p: list[int]) -> list[int]:
+def _poly_trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials (den monic up to sign)."""
-    num = list(num)
-    q = [0] * (max(len(num) - len(den) + 1, 0))
-    lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1]
-        if c % lead:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= lead
-        q[k] = c
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    return q, _poly_trim(num)
 
 
 @lru_cache(maxsize=None)
@@ -53,37 +36,18 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial."""
     if n < 1:
         raise ValueError("order must be positive")
-    num = [0] * n + [1]
-    num[0] = -1  # x^n - 1
-    rem = num
+    rem = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            rem, r = _poly_divmod_int(rem, list(cyclotomic_poly(d)))
+            rem, r = _poly_divmod_frac(rem, cyclotomic_poly(d))
             assert not r
-    return tuple(rem)
+    assert all(c.denominator == 1 for c in rem)
+    return tuple(int(c) for c in rem)
 
 
 @lru_cache(maxsize=None)
 def _phi_degree(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
-
-
-@lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^k mod Phi_n for k = 0 .. 2*deg - 2, as Fraction rows."""
-    phi = cyclotomic_poly(n)
-    d = len(phi) - 1
-    rows: list[list[Fraction]] = []
-    cur = [Fraction(0)] * d
-    cur[0] = Fraction(1)
-    top = [Fraction(-c) for c in phi[:d]]  # x^d = -(lower part), Phi monic
-    for _ in range(max(2 * d - 1, 1)):
-        rows.append(list(cur))
-        carry = cur[d - 1]
-        cur = [Fraction(0)] + cur[: d - 1]
-        if carry:
-            cur = [a + carry * b for a, b in zip(cur, top)]
-    return tuple(tuple(r) for r in rows)
 
 
 @lru_cache(maxsize=None)
@@ -104,28 +68,20 @@ def _zeta_all_powers(n: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
-def _zeta_power(n: int, k: int) -> tuple[Fraction, ...]:
-    """Canonical coefficients of zeta_n^k."""
-    return _zeta_all_powers(n)[k % n]
+def _reduce(n: int, terms) -> list[Fraction]:
+    """Canonical coefficients of sum c * zeta_n^k over the (k, c) pairs.
 
-
-def _poly_mul_reduce(a, b, n: int) -> tuple[Fraction, ...]:
-    d = _phi_degree(n)
-    prod = [Fraction(0)] * (2 * d - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] += x * y
-    table = _power_table(n)
-    out = [Fraction(0)] * d
-    for k, c in enumerate(prod):
+    Any k is allowed: x^k = zeta_n^(k mod n) modulo Phi_n, because Phi_n
+    divides x^n - 1.
+    """
+    powers = _zeta_all_powers(n)
+    out = [Fraction(0)] * _phi_degree(n)
+    for k, c in terms:
         if c:
-            row = table[k]
-            for i in range(d):
-                if row[i]:
-                    out[i] += c * row[i]
-    return tuple(out)
+            for i, r in enumerate(powers[k % n]):
+                if r:
+                    out[i] += c * r
+    return out
 
 
 _POOL: dict = {}
@@ -168,21 +124,12 @@ class CycloNumber:
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CycloNumber":
-        return cls(order, _zeta_power(order, power))
+        return cls(order, _zeta_all_powers(order)[power % order])
 
     @classmethod
     def from_raw(cls, order: int, raw_coeffs) -> "CycloNumber":
         """Reduce a length-``order`` coefficient list of 1, z, ..., z^(n-1)."""
-        d = _phi_degree(order)
-        out = [Fraction(0)] * d
-        for k, c in enumerate(raw_coeffs):
-            c = Fraction(c)
-            if c:
-                row = _zeta_power(order, k)
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return cls(order, out)
+        return cls(order, _reduce(order, enumerate(map(Fraction, raw_coeffs))))
 
     # basic queries ------------------------------------------------------
 
@@ -213,15 +160,8 @@ class CycloNumber:
             raise IncompatibleOrdersError(
                 f"cannot embed order {self.order} into {order}")
         step = order // self.order
-        d = _phi_degree(order)
-        out = [Fraction(0)] * d
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = _zeta_power(order, j * step)
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycloNumber(order, out)
+        return CycloNumber(order, _reduce(
+            order, ((j * step, c) for j, c in enumerate(self.coeffs))))
 
     @staticmethod
     def _common(a: "CycloNumber", b) -> tuple["CycloNumber", "CycloNumber"]:
@@ -253,7 +193,8 @@ class CycloNumber:
 
     def __mul__(self, other):
         a, b = CycloNumber._common(self, other)
-        return CycloNumber(a.order, _poly_mul_reduce(a.coeffs, b.coeffs, a.order))
+        prod = _poly_mul(a.coeffs, b.coeffs)
+        return CycloNumber(a.order, _reduce(a.order, enumerate(prod)))
 
     __rmul__ = __mul__
 
@@ -285,16 +226,8 @@ class CycloNumber:
         return CycloNumber.rational(other).embed(self.order) / self
 
     def conjugate(self) -> "CycloNumber":
-        n = self.order
-        d = _phi_degree(n)
-        out = [Fraction(0)] * d
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = _zeta_power(n, (-j) % n)
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycloNumber(n, out)
+        return CycloNumber(self.order, _reduce(
+            self.order, ((-j, c) for j, c in enumerate(self.coeffs))))
 
     def __eq__(self, other):
         if self is other:
@@ -338,7 +271,8 @@ def _poly_mul(a, b):
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] += x * y
+                if y:
+                    out[i + j] += x * y
     return _poly_trim(out)
 
 
@@ -564,25 +498,12 @@ class CycloMatrix:
     def inverse(self) -> "CycloMatrix":
         if self.rows != self.cols:
             raise DimensionMismatchError("inverse of non-square matrix")
-        n = self.order
         size = self.rows
-        zero, one = CycloNumber.rational(0, n), CycloNumber.rational(1, n)
-        aug = [list(row) + [one if i == j else zero for j in range(size)]
-               for i, row in enumerate(self.entries)]
-        r = 0
-        for col in range(size):
-            piv = next((i for i in range(r, size) if not aug[i][col].is_zero()), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular")
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = aug[r][col].inverse()
-            aug[r] = [x * inv for x in aug[r]]
-            for i in range(size):
-                if i != r and not aug[i][col].is_zero():
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            r += 1
-        return CycloMatrix([row[size:] for row in aug])
+        eye = CycloMatrix.identity(size, self.order).entries
+        rows, pivots = _rref([row + e for row, e in zip(self.entries, eye)])
+        if pivots != list(range(size)):
+            raise SingularMatrixError("matrix is singular")
+        return CycloMatrix([row[size:] for row in rows])
 
     def __pow__(self, k: int) -> "CycloMatrix":
         if self.rows != self.cols:

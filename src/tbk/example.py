@@ -150,7 +150,8 @@ def _index_p_central_subgroups(group: FiniteGroup, z: Subgroup,
             g for g in z.elements
             if sum(a * b for a, b in zip(st.dlog[g], phi)) % p == 0))
         out.append(Subgroup(group, members,
-                            _grp._greedy_subgroup_generators(group, members)))
+                            _grp._greedy_subgroup_generators(
+                                group.mul_table(), members)))
     return out
 
 

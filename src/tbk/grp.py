@@ -151,8 +151,9 @@ class Subgroup:
         labels = None
         if self.parent.labels is not None:
             labels = [self.parent.labels[g] for g in els]
-        grp = FiniteGroup(table, gens or _greedy_generators_from_table(table),
-                          labels, _validated=True)
+        grp = FiniteGroup(
+            table, gens or _greedy_subgroup_generators(table, range(len(els))),
+            labels, _validated=True)
         return grp, pos
 
 
@@ -271,15 +272,18 @@ def _closure_in_table(mul: np.ndarray, seed: Sequence[int]) -> list[int]:
     return sorted(seen)
 
 
-def _greedy_generators_from_table(mul: np.ndarray) -> list[int]:
+def _identity_first(mul: np.ndarray, e: int
+                    ) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Relabel the table so that e becomes index 0, the rest kept in order.
+
+    Returns the relabelled table, the old index of each new one, and the
+    new index of each old one.
+    """
     n = mul.shape[0]
-    gens: list[int] = []
-    have = {0}
-    while len(have) < n:
-        g = min(set(range(n)) - have)
-        gens.append(g)
-        have = set(_closure_in_table(mul, gens))
-    return gens
+    order = [e] + [i for i in range(n) if i != e]
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    return pos[mul[np.ix_(order, order)]], order, pos
 
 
 def build_from_cayley(table, labels: Sequence[str] | None = None,
@@ -297,18 +301,13 @@ def build_from_cayley(table, labels: Sequence[str] | None = None,
         raise NotAGroupError(f"expected exactly one identity, found {len(ident)}")
     e = ident[0]
     if e != 0:
-        # move e to the front, keep everything else in order
-        order = [e] + [i for i in range(n) if i != e]
-        pos = np.empty(n, dtype=np.int64)
-        for new, old in enumerate(order):
-            pos[old] = new
-        mul = pos[mul[np.ix_(order, order)]]
+        mul, order, pos = _identity_first(mul, e)
         if labels is not None:
             labels = [labels[i] for i in order]
         if generators is not None:
             generators = [int(pos[g]) for g in generators]
     gens = list(generators) if generators is not None else \
-        _greedy_generators_from_table(np.asarray(mul, dtype=np.int32))
+        _greedy_subgroup_generators(mul, range(n))
     return FiniteGroup(mul, gens, labels)
 
 
@@ -373,12 +372,7 @@ def closure(seed: Sequence, multiply: Callable, canonical_key: Callable,
     ident = [h for h in range(n) if (mul[:, h] == np.arange(n)).all()]
     if len(ident) != 1:
         raise NotAGroupError("closure did not produce a unique identity")
-    e = ident[0]
-    order = [e] + [i for i in range(n) if i != e]
-    pos = np.empty(n, dtype=np.int64)
-    for new, old in enumerate(order):
-        pos[old] = new
-    mul = pos[mul[np.ix_(order, order)]].astype(np.int32)
+    mul, order, pos = _identity_first(mul, ident[0])
     elements = [elements[i] for i in order]
     gens = sorted({int(pos[s]) for s in seeds} - {0}) or [0]
     return FiniteGroup(mul, gens), elements
@@ -414,23 +408,25 @@ def class_representatives(g: FiniteGroup) -> list[int]:
 def centralizer(g: FiniteGroup, x: int) -> Subgroup:
     members = np.nonzero(g._mul[:, x] == g._mul[x, :])[0]
     els = tuple(int(m) for m in members)
-    return Subgroup(g, els, _greedy_subgroup_generators(g, els))
+    return Subgroup(g, els, _greedy_subgroup_generators(g._mul, els))
 
 
 def center(g: FiniteGroup) -> Subgroup:
     members = np.nonzero((g._mul == g._mul.T).all(axis=1))[0]
     els = tuple(int(m) for m in members)
-    return Subgroup(g, els, _greedy_subgroup_generators(g, els))
+    return Subgroup(g, els, _greedy_subgroup_generators(g._mul, els))
 
 
-def _greedy_subgroup_generators(g: FiniteGroup, elements: tuple[int, ...]) -> tuple[int, ...]:
+def _greedy_subgroup_generators(mul: np.ndarray, elements: Sequence[int]
+                                ) -> tuple[int, ...]:
+    """Ascending greedy generators: each element not yet generated is added."""
     have = {0}
     gens: list[int] = []
     for x in elements:
         if x in have:
             continue
         gens.append(x)
-        have = set(_closure_in_table(g._mul, gens))
+        have = set(_closure_in_table(mul, gens))
         if len(have) == len(elements):
             break
     return tuple(gens)

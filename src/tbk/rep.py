@@ -176,7 +176,8 @@ def pointwise_stabilizer(group: FiniteGroup, rep: MatrixRep,
         if all(_vec_eq(m.matvec(v), v) for v in w.basis):
             members.append(g)
     els = tuple(sorted(members))
-    return Subgroup(group, els, _grp._greedy_subgroup_generators(group, els))
+    return Subgroup(group, els,
+                    _grp._greedy_subgroup_generators(group.mul_table(), els))
 
 
 def _vec_eq(a, b) -> bool:
@@ -197,7 +198,8 @@ def line_stabilizer(group: FiniteGroup, rep: MatrixRep, vec) -> Subgroup:
         if _vec_eq(w, [ratio * x for x in v]):
             members.append(g)
     els = tuple(sorted(members))
-    return Subgroup(group, els, _grp._greedy_subgroup_generators(group, els))
+    return Subgroup(group, els,
+                    _grp._greedy_subgroup_generators(group.mul_table(), els))
 
 
 def contained(w1: Subspace, w2: Subspace) -> bool:
@@ -246,7 +248,11 @@ def meets_complement(w: Subspace, arrangement) -> bool:
 
 
 def build_model(rep: MatrixRep, threshold: int) -> LinearActionModel:
-    """Arrangement of all fixed spaces with codimension >= threshold."""
+    """Arrangement of all fixed spaces with codimension >= threshold.
+
+    It is stable by construction: s V^h = V^(s h s^-1), which has the same
+    codimension, so nothing is re-checked.
+    """
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
     degree = rep.degree
@@ -257,16 +263,23 @@ def build_model(rep: MatrixRep, threshold: int) -> LinearActionModel:
             seen.setdefault(w.key(), w)
     arrangement = tuple(sorted(seen.values(),
                                key=lambda s: (degree - s.dim, s.key())))
-    _assert_stable(rep, arrangement)
     return LinearActionModel(rep, arrangement, threshold)
 
 
 def _assert_stable(rep: MatrixRep, arrangement) -> None:
-    keys = {z.key() for z in arrangement}
+    """Raise unless every generator maps every member onto a member.
+
+    Threshold models are stable by construction; this checks arrangements
+    read from files. An image is looked up under its (order, key), as in
+    ``_members_by_dim``; one that equals a member stored over another order
+    is found by ``==``.
+    """
+    members = {(z.order, z.key()) for z in arrangement}
     for s in rep.group.generators:
         m = rep.matrices[s]
         for z in arrangement:
-            if z.apply(m).key() not in keys:
+            w = z.apply(m)
+            if (w.order, w.key()) not in members and w not in arrangement:
                 raise DimensionMismatchError(
                     "arrangement is not stable under the group")
 
@@ -292,13 +305,6 @@ def fixed_locus_survey(model: LinearActionModel) -> FixedLocusSurvey:
         records.append(FixedLocusRecord(x, len(cls), codim, w, flag))
         if x != 0:
             by_codim.setdefault(codim, {})[w.key()] = w
-    # conjugates share codimension and flag: spot-check on a few conjugators
-    for rec in records[:8]:
-        for t in list(g.generators)[:3]:
-            y = g.conj(t, rec.representative)
-            wy = rep.fixed_space(y)
-            assert degree - wy.dim == rec.codim
-            assert meets_complement(wy, model) == rec.meets_open_set
     spaces = {c: tuple(sorted(d.values(), key=lambda s: s.key()))
               for c, d in sorted(by_codim.items())}
     return FixedLocusSurvey(tuple(records), spaces)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tbk import cli, cocycle as cx, fileio
+from tbk import cli, cocycle as cx, fileio, grp
 from tbk.cyclo import CycloMatrix
 
 from tests.test_cocycle import klein, pairing_cocycle
@@ -277,3 +277,40 @@ def test_cli_example_emit_files_roundtrip(tmp_path, capsys):
          "--model", str(outdir / "model.json")], capsys)
     assert code == 0 and payload["results"]["member"] is False
     assert payload["results"]["witness_labels"] is not None
+
+
+def _z2_model_run(tmp_path, capsys, generator, arrangement):
+    """`bg test` of the zero cocycle on Z_2 against an explicit arrangement."""
+    model = {"degree": 2, "cyclotomic_order": 1,
+             "generators": [fileio.encode_matrix(CycloMatrix(generator))],
+             "arrangement": arrangement}
+    (tmp_path / "model.json").write_text(fileio.dump_json(model))
+    zero = cx.Cocycle2(grp.cyclic(2), 2, np.zeros((2, 2), dtype=np.int64))
+    (tmp_path / "zero.json").write_text(
+        fileio.dump_json(fileio.encode_cocycle(zero)))
+    return _run(["bg", "test", "--cocycle", str(tmp_path / "zero.json"),
+                 "--model", str(tmp_path / "model.json")], capsys)
+
+
+def test_unstable_arrangement_with_colliding_keys_is_rejected(tmp_path, capsys):
+    # diag(1, -1) maps span(1, zeta_3) to span(1, -zeta_3) and span(1, -i)
+    # to span(1, i). Each image has the other member's Subspace.key, which
+    # leaves out the cyclotomic order, but neither image is a member.
+    zeta3 = ["0/1", "1/1", "0/1"]
+    minus_i = ["0/1", "-1/1", "0/1", "0/1"]
+    code, payload, err = _z2_model_run(
+        tmp_path, capsys, [[1, 0], [0, -1]],
+        [[["1/1", zeta3]], [["1/1", minus_i]]])
+    assert code == 3 and payload == {}
+    assert "not stable" in err
+
+
+def test_stable_arrangement_across_orders_is_accepted(tmp_path, capsys):
+    # the swap maps the x-axis, written over Q(zeta_3), onto the y-axis,
+    # written over Q: the image equals a member stored over another order
+    code, payload, _ = _z2_model_run(
+        tmp_path, capsys, [[0, 1], [1, 0]],
+        [[[["1/1", "0/1", "0/1"], "0/1"]], [["0/1", "1/1"]]])
+    assert code == 0
+    assert payload["results"]["arrangement_size"] == 2
+    assert payload["results"]["member"] is True

@@ -14,7 +14,11 @@ from tbk.cyclo import (
     eigenspace,
     kernel,
 )
-from tbk.errors import DivisionByZeroError, IncompatibleOrdersError
+from tbk.errors import (
+    DivisionByZeroError,
+    IncompatibleOrdersError,
+    SingularMatrixError,
+)
 
 
 def test_cyclotomic_polynomials():
@@ -24,6 +28,25 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_factor_x_n_minus_1():
+    for n in range(1, 61):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = cyclotomic_poly(d)
+                assert all(type(c) is int for c in phi) and phi[-1] == 1
+                prod = _int_poly_mul(prod, phi)
+        assert prod == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_basic_identities():
@@ -51,6 +74,49 @@ def _random_value(rng: random.Random, order: int) -> CycloNumber:
     return CycloNumber.from_raw(
         order, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(order)]
     )
+
+
+def _power_table(n: int) -> list[list[Fraction]]:
+    """x^k mod Phi_n for k = 0 .. 2*deg - 2, by repeated multiplication by x."""
+    phi = cyclotomic_poly(n)
+    d = len(phi) - 1
+    rows = []
+    cur = [Fraction(1)] + [Fraction(0)] * (d - 1)
+    top = [Fraction(-c) for c in phi[:d]]  # x^d = -(lower part), Phi monic
+    for _ in range(max(2 * d - 1, 1)):
+        rows.append(list(cur))
+        carry = cur[d - 1]
+        cur = [Fraction(0)] + cur[: d - 1]
+        if carry:
+            cur = [a + carry * b for a, b in zip(cur, top)]
+    return rows
+
+
+def _reference_product(a: CycloNumber, b: CycloNumber) -> tuple[Fraction, ...]:
+    """Schoolbook product reduced through the power table of x."""
+    n = a.order
+    d = len(a.coeffs)
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] += x * y
+    out = [Fraction(0)] * d
+    for k, row in enumerate(_power_table(n)):
+        for i in range(d):
+            out[i] += prod[k] * row[i]
+    return tuple(out)
+
+
+def test_product_matches_power_table_reduction():
+    # at these orders 2 * phi(n) - 2 >= n, so the product's top powers wrap
+    # past x^n and the reduction must use zeta^(k mod n)
+    rng = random.Random(4)
+    for n in (5, 7, 9, 21):
+        d = len(cyclotomic_poly(n)) - 1
+        assert 2 * d - 2 >= n
+        for _ in range(60):
+            a, b = _random_value(rng, n), _random_value(rng, n)
+            assert (a * b).coeffs == _reference_product(a, b)
 
 
 def test_canonical_form_under_rebracketing():
@@ -134,6 +200,36 @@ def test_kernel_rank_nullity_and_exactness():
         # rank + nullity
         img = Subspace.from_vectors(rows, [list(r) for r in m.transpose().entries])
         assert img.dim + k.dim == cols
+
+
+def test_matrix_inverse_random():
+    rng = random.Random(5)
+    for n in (1, 3, 4, 12):
+        done = 0
+        while done < 6:
+            size = rng.randint(1, 4)
+            m = CycloMatrix(
+                [[_random_value(rng, n) for _ in range(size)] for _ in range(size)],
+                n)
+            try:
+                inv = m.inverse()
+            except SingularMatrixError:
+                continue
+            assert (m * inv).is_identity() and (inv * m).is_identity()
+            done += 1
+
+
+def test_singular_matrix_raises():
+    z3 = CycloNumber.zeta(3)
+    cases = [
+        CycloMatrix([[0]]),
+        CycloMatrix([[1, 2], [2, 4]]),
+        CycloMatrix([[1, z3], [z3, z3 * z3]]),  # second row = zeta_3 * first
+        CycloMatrix([[1, 0, 1], [0, 1, 1], [1, 1, 2]]),
+    ]
+    for m in cases:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
 
 
 def test_eigenspace_examples():
