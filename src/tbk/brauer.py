@@ -21,7 +21,7 @@ from . import cocycle as _cx
 from . import grp as _grp
 from . import rep as _rep
 from . import zmlin
-from .cyclo import CycloMatrix, CycloNumber, Subspace, kernel
+from .cyclo import CycloNumber
 from .errors import (
     InternalDisagreementError,
     ModulusMismatchError,
@@ -143,16 +143,7 @@ class BicyclicVerdict:
         return self.member
 
 
-def _pointwise_fixed_space(rep, members) -> Subspace:
-    """V^K for a set of elements: joint kernel of the shifted matrices."""
-    eye = CycloMatrix.identity(rep.degree, rep.order)
-    rows = []
-    for s in members:
-        shifted = rep.matrices[s] - eye
-        rows.extend(list(r) for r in shifted.entries)
-    if not rows:
-        rows = [list(r) for r in (rep.matrices[0] - eye).entries]
-    return kernel(CycloMatrix(rows))
+_pointwise_fixed_space = _rep.joint_fixed_space  # V^K for a set of elements
 
 
 def _cyclic_quotient_exists_with_open_fixed_space(

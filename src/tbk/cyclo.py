@@ -84,35 +84,19 @@ def _reduce(n: int, terms) -> list[Fraction]:
     return out
 
 
-_POOL: dict = {}
-_POOL_CAP = 200_000
-
-
 class CycloNumber:
-    """An element of Q(zeta_n), reduced modulo the n-th cyclotomic polynomial.
-
-    Instances are interned (up to a pool cap): matrix closures hold millions
-    of cells but only a handful of distinct values, so sharing keeps them
-    cheap.
-    """
+    """An element of Q(zeta_n), reduced modulo the n-th cyclotomic polynomial."""
 
     __slots__ = ("order", "coeffs")
     __hash__ = None  # equality crosses field orders; use key() when hashing
 
-    def __new__(cls, order: int, coeffs):
-        d = _phi_degree(order)
+    def __init__(self, order: int, coeffs):
         cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != d:
-            raise ValueError(f"need {d} coefficients for order {order}, got {len(cs)}")
-        key = (order, tuple((c.numerator, c.denominator) for c in cs))
-        obj = _POOL.get(key)
-        if obj is None:
-            obj = super().__new__(cls)
-            obj.order = order
-            obj.coeffs = cs
-            if len(_POOL) < _POOL_CAP:
-                _POOL[key] = obj
-        return obj
+        if len(cs) != _phi_degree(order):
+            raise ValueError(f"need {_phi_degree(order)} coefficients for "
+                             f"order {order}, got {len(cs)}")
+        self.order = order
+        self.coeffs = cs
 
     # construction -------------------------------------------------------
 

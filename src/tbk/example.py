@@ -167,8 +167,7 @@ def bogomolov_example(p: int, convention: str = "involution",
     if group.order != p ** 7:
         raise NotAGroupError(
             f"closure produced order {group.order}, expected p^7 = {p ** 7}")
-    keys = {rep.matrices[i].key(): i for i in range(group.order)}
-    x_idx = tuple(keys[m.key()] for m in gens)
+    x_idx = rep.generator_indices
     x1, x2, x3, x4 = x_idx
 
     a = group.commutator(x1, x2)

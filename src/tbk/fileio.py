@@ -200,13 +200,20 @@ def decode_model(raw: Any, pointer: str = "", base_dir: str = ".",
     else:
         _fail(pointer, "model needs 'generators' or 'generators_file'")
     if "arrangement" in raw:
-        spaces = []
+        # members are proper subspaces, each kept once, at its first listing;
+        # == compares spaces written over different cyclotomic orders
+        spaces: list[Subspace] = []
         for i, vecs in enumerate(raw["arrangement"]):
-            mat = decode_matrix(vecs, f"{pointer}/arrangement/{i}")
-            _expect(mat.cols == rep.degree, f"{pointer}/arrangement/{i}",
+            at = f"{pointer}/arrangement/{i}"
+            mat = decode_matrix(vecs, at)
+            _expect(mat.cols == rep.degree, at,
                     "subspace basis has the wrong ambient dimension")
-            spaces.append(Subspace.from_vectors(
-                rep.degree, [list(r) for r in mat.entries], rep.order))
+            z = Subspace.from_vectors(
+                rep.degree, [list(r) for r in mat.entries], rep.order)
+            _expect(z.dim < rep.degree, at,
+                    "arrangement member must be a proper subspace")
+            if z not in spaces:
+                spaces.append(z)
         model = LinearActionModel(rep, tuple(spaces), raw.get("threshold"))
         _rep._assert_stable(rep, model.arrangement)
         return group, rep, model

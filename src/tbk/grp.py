@@ -8,6 +8,8 @@ reproduce identical indexings across runs and platforms.
 
 from __future__ import annotations
 
+import os
+import resource
 from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Iterator, Sequence
@@ -15,6 +17,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    InfeasibleError,
     NonCentralSubgroupError,
     NotAbelianError,
     NotAGroupError,
@@ -311,6 +314,13 @@ def build_from_cayley(table, labels: Sequence[str] | None = None,
     return FiniteGroup(mul, gens, labels)
 
 
+def _memory_budget() -> int:
+    """Bytes of memory available: the smaller of RLIMIT_AS and physical RAM."""
+    soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return ram if soft == resource.RLIM_INFINITY else min(soft, ram)
+
+
 def closure(seed: Sequence, multiply: Callable, canonical_key: Callable,
             bound: int = DEFAULT_ORDER_CAP) -> tuple[FiniteGroup, list]:
     """Close a finite set of abstract elements under an associative product.
@@ -322,10 +332,14 @@ def closure(seed: Sequence, multiply: Callable, canonical_key: Callable,
 
     The multiplication table is completed without extra oracle calls: every
     BFS element is x*s with s a seed letter, so column h = y*s satisfies
-    mul[g][h] = mul[mul[g][y]][s] once the seed columns are known.
+    mul[g][h] = mul[mul[g][y]][s] once the seed columns are known. That
+    n x n table of 4-byte entries is predicted as the elements are found:
+    once it would exceed ``_memory_budget()`` the closure raises
+    ``InfeasibleError`` before anything of that size is allocated.
     """
     if not seed:
         raise NotAGroupError("closure needs at least one seed element")
+    budget = _memory_budget()
     keyed = sorted({canonical_key(x): x for x in seed}.items())
     elements = [x for _, x in keyed]
     index = {k: i for i, (k, _) in enumerate(keyed)}
@@ -349,6 +363,11 @@ def closure(seed: Sequence, multiply: Callable, canonical_key: Callable,
             i = len(elements)
             if i >= bound:
                 raise OrderBoundExceededError(f"closure exceeded bound {bound}")
+            if (i + 1) ** 2 * 4 > budget:
+                raise InfeasibleError(
+                    f"closure reached {i + 1} elements; their multiplication "
+                    f"table would take {(i + 1) ** 2 * 4} bytes, more than "
+                    f"the {budget} bytes of memory available")
             index[k] = i
             elements.append(p)
             parent[i] = par

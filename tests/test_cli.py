@@ -314,3 +314,42 @@ def test_stable_arrangement_across_orders_is_accepted(tmp_path, capsys):
     assert code == 0
     assert payload["results"]["arrangement_size"] == 2
     assert payload["results"]["member"] is True
+
+
+def test_duplicate_arrangement_members_are_kept_once(tmp_path, capsys):
+    # the x-axis twice, once over Q(zeta_3), next to the y-axis
+    x_axis, y_axis = [["1/1", "0/1"]], [["0/1", "1/1"]]
+    x_axis_z3 = [[["1/1", "0/1", "0/1"], "0/1"]]
+    code, payload, _ = _z2_model_run(
+        tmp_path, capsys, [[0, 1], [1, 0]], [x_axis, x_axis, y_axis, x_axis_z3])
+    assert code == 0
+    assert payload["results"]["arrangement_size"] == 2
+    raw = json.loads((tmp_path / "model.json").read_text())
+    _group, _rep, model = fileio.decode_model(raw)
+    assert [z.key() for z in model.arrangement] == [
+        (2, 1, (((1, 1),), ((0, 1),))), (2, 1, (((0, 1),), ((1, 1),)))]
+
+
+def test_arrangement_member_equal_to_the_whole_space_is_malformed(
+        tmp_path, capsys):
+    code, payload, err = _z2_model_run(
+        tmp_path, capsys, [[0, 1], [1, 0]],
+        [[["1/1", "1/1"]], [["1/1", "0/1"], ["0/1", "1/1"]]])
+    assert code == 2 and payload == {}
+    assert "proper subspace" in err and err.rstrip().endswith("/arrangement/1")
+
+
+def test_cli_closure_over_the_memory_budget_is_resource_guard(
+        tmp_path, capsys, monkeypatch):
+    from tbk import example as ex
+
+    pm, qm, _n = ex.clock_and_shift(2, "literal")
+    gens = {"degree": 2, "cyclotomic_order": 4,
+            "generators": [fileio.encode_matrix(pm), fileio.encode_matrix(qm)]}
+    path = tmp_path / "gens.json"
+    path.write_text(fileio.dump_json(gens))
+    # the order-8 table takes 8 * 8 * 4 = 256 bytes
+    monkeypatch.setattr(grp, "_memory_budget", lambda: 255)
+    code, payload, err = _run(["group", "closure", "--in", str(path)], capsys)
+    assert code == 4 and payload == {}
+    assert err.startswith("error: closure reached 8 elements")

@@ -7,6 +7,7 @@ import pytest
 
 from tbk import grp
 from tbk.errors import (
+    InfeasibleError,
     NonCentralSubgroupError,
     NotAbelianError,
     NotAGroupError,
@@ -123,6 +124,19 @@ def test_closure_bound():
     Q = cyclo.CycloMatrix([[1, 0], [0, -1]])
     with pytest.raises(OrderBoundExceededError):
         grp.closure([P, Q], lambda a, b: a * b, lambda m: m.key(), bound=5)
+
+
+def test_closure_predicts_its_table_against_the_memory_budget(monkeypatch):
+    def z_mod(n):
+        return grp.closure([1], lambda a, b: (a + b) % n, lambda x: x)
+
+    # Z_12: a 12 x 12 table of 4-byte entries takes 576 bytes
+    monkeypatch.setattr(grp, "_memory_budget", lambda: 576)
+    assert z_mod(12)[0].order == 12
+    with pytest.raises(InfeasibleError) as info:
+        z_mod(13)
+    assert info.value.exit_code == 4
+    assert "13 elements" in str(info.value)
 
 
 def test_closure_is_deterministic():

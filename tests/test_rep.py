@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from tbk import brauer as br
 from tbk import example as ex
 from tbk import grp
 from tbk import rep as rp
-from tbk.cyclo import CycloMatrix, CycloNumber, Subspace
+from tbk.cyclo import CycloMatrix, CycloNumber, Subspace, kernel
 from tbk.errors import (
     NonInvertibleGeneratorError,
     OrderBoundExceededError,
@@ -255,3 +256,131 @@ def test_codim_is_conjugation_invariant(bundle_p2):
             assert rep.degree - rep.fixed_space(y).dim == base
         inv_codim = rep.degree - rep.fixed_space(g.inv(x)).dim
         assert inv_codim == base
+
+
+# --- the monomial path against the CycloMatrix path ---------------------------
+
+
+def reference_closure(generators, order):
+    """The matrix closure on CycloMatrix products and keys."""
+    return grp.closure([m.embed(order) for m in generators],
+                       lambda a, b: a * b, lambda m: m.key())
+
+
+def reference_pointwise_fixed_space(rep, members):
+    """V^K as the exact kernel of the stacked M_s - I (all of V if no s)."""
+    eye = CycloMatrix.identity(rep.degree, rep.order)
+    rows = []
+    for s in members:
+        rows.extend(list(r) for r in (rep.matrices[s] - eye).entries)
+    if not rows:
+        rows = [list(r) for r in (rep.matrices[0] - eye).entries]
+    return kernel(CycloMatrix(rows))
+
+
+def _assert_same_subspace(w, ref):
+    assert w == ref
+    assert (w.order, w.key()) == (ref.order, ref.key())
+
+
+def _assert_closes_like_matrices(generators, order):
+    g, rep = rp.matrix_closure(generators, order=order)
+    ref_g, ref_els = reference_closure(generators, order)
+    assert np.array_equal(g.mul_table(), ref_g.mul_table())
+    assert g.generators == ref_g.generators
+    eye = CycloMatrix.identity(rep.degree, rep.order)
+    for i, m in enumerate(ref_els):
+        assert rep.matrices[i].key() == m.key()
+        assert rep.matrices[i] == m
+        _assert_same_subspace(rep.fixed_space(i), kernel(m - eye))
+    keys = [m.key() for m in ref_els]
+    assert rep.generator_indices == tuple(
+        keys.index(m.embed(rep.order).key()) for m in generators)
+    return g, rep
+
+
+@pytest.mark.parametrize("convention", ex.CONVENTIONS)
+def test_monomial_closure_matches_matrix_closure_p2(convention):
+    gens, n = ex.block_generators(2, convention)
+    g, rep = _assert_closes_like_matrices(gens, n)
+    assert isinstance(rep.matrices, rp.MonomialMatrices)
+    assert g.order == 128
+
+
+def test_monomial_path_p3_on_class_representatives_and_members(bundle_p3):
+    b = bundle_p3
+    rep, g = b.rep, b.group
+    assert isinstance(rep.matrices, rp.MonomialMatrices)
+    eye = CycloMatrix.identity(rep.degree, rep.order)
+    for x in grp.class_representatives(g):
+        m = rep.matrices[x]
+        for s in g.generators:
+            assert m * rep.matrices[s] == rep.matrices[g.mul(x, s)]
+        _assert_same_subspace(rep.fixed_space(x), kernel(m - eye))
+    producer = {}
+    for x in range(g.order - 1, 0, -1):
+        w = rep.fixed_space(x)
+        producer[(w.order, w.key())] = x
+    assert len(b.model.arrangement) == 1016
+    for z in b.model.arrangement:
+        m = rep.matrices[producer[(z.order, z.key())]]
+        _assert_same_subspace(z, kernel(m - eye))
+
+
+def test_joint_fixed_spaces_match_stacked_kernel(bundle_p2, bundle_p2_literal):
+    rng = random.Random(11)
+    for b in (bundle_p2, bundle_p2_literal):
+        n = b.group.order
+        sets = [[], [0], list(b.x), list(b.central)]
+        sets += [[rng.randrange(n) for _ in range(rng.randint(0, 3))]
+                 for _ in range(150)]
+        for members in sets:
+            want = reference_pointwise_fixed_space(b.rep, members)
+            _assert_same_subspace(rp.joint_fixed_space(b.rep, members), want)
+            _assert_same_subspace(br._pointwise_fixed_space(b.rep, members),
+                                  want)
+
+
+def test_non_monomial_s3_closes_and_surveys_as_matrices():
+    gens = [CycloMatrix([[0, -1], [1, -1]]), CycloMatrix([[0, 1], [1, 0]])]
+    g, rep = _assert_closes_like_matrices(gens, 1)
+    assert isinstance(rep.matrices, tuple)
+    assert g.generators == (1, 2) and rep.generator_indices == (1, 2)
+    assert g.mul_table().tolist() == [
+        [0, 1, 2, 3, 4, 5], [1, 4, 3, 5, 0, 2], [2, 5, 0, 4, 3, 1],
+        [3, 2, 1, 0, 5, 4], [4, 0, 5, 2, 1, 3], [5, 3, 4, 1, 2, 0]]
+    model = rp.build_model(rep, 1)
+    assert [z.key() for z in model.arrangement] == [
+        (2, 1, (((0, 1),), ((1, 1),))), (2, 1, (((1, 1),), ((0, 1),))),
+        (2, 1, (((1, 1),), ((1, 1),))), (2, 0, ())]
+    survey = rp.fixed_locus_survey(model)
+    assert [(r.representative, r.class_size, r.codim, r.meets_open_set)
+            for r in survey.records] == [
+        (0, 1, 0, True), (1, 2, 2, False), (2, 3, 1, False)]
+    whole = grp.subgroup_generated(g, list(g.generators))
+    spectra = {(line.scalar, tuple((ev.modulus, ev.exponent, dim)
+                                   for ev, dim in line.eigenvalues))
+               for line in rp.eigen_survey(rep, whole)}
+    assert spectra == {(True, ((1, 0, 2),)),
+                       (False, ((3, 1, 1), (3, 2, 1))),
+                       (False, ((2, 0, 1), (2, 1, 1)))}
+
+
+def test_monomial_closure_over_odd_orders_matches_matrix_closure():
+    # -1 is a root of unity of Q(zeta_3) that is no power of zeta_3; the
+    # 3-cycles make the keys depend on which way each permutation is read
+    rotation = CycloMatrix([[0, -1], [1, 0]], order=3)
+    phase = CycloMatrix.diagonal([CycloNumber.zeta(3), 1])
+    signed_cycle = CycloMatrix([[0, 0, -1], [1, 0, 0], [0, 1, 0]], order=3)
+    flip = CycloMatrix.diagonal([-1, 1, 1])
+    shift, clock, _n = ex.clock_and_shift(3)
+    cases = [([rotation, phase], 36), ([rotation], 4), ([phase], 3),
+             ([signed_cycle, flip], 24), ([shift, clock], 27)]
+    for gens, order in cases:
+        g, rep = _assert_closes_like_matrices(gens, 3)
+        assert isinstance(rep.matrices, rp.MonomialMatrices)
+        assert g.order == order
+        for members in ([], [1], list(g.generators), list(range(g.order))):
+            _assert_same_subspace(
+                rp.joint_fixed_space(rep, members),
+                reference_pointwise_fixed_space(rep, members))
