@@ -38,13 +38,6 @@ def _max_order() -> int:
     return _grp.DEFAULT_ORDER_CAP
 
 
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()[:16]
-
-
 class _Run:
     """Collects inputs, results and timings for the final report."""
 
@@ -55,8 +48,12 @@ class _Run:
         self.timings: dict[str, float] = {}
         self._t0 = time.perf_counter()
 
-    def add_input(self, name: str, path: str):
-        self.inputs[name] = f"sha256:{_digest(path)}"
+    def load(self, name: str, path: str):
+        """Parse an input file and record the sha256 of the bytes parsed."""
+        digest = hashlib.sha256()
+        raw = fileio.load_json(path, digest)
+        self.inputs[name] = f"sha256:{digest.hexdigest()[:16]}"
+        return raw
 
     def mark(self, label: str):
         self.timings[label] = round(time.perf_counter() - self._t0, 6)
@@ -83,20 +80,17 @@ def _emit(run: _Run, args, summary: str) -> int:
 
 
 def _load_group(path: str, run: _Run, name: str = "group") -> _grp.FiniteGroup:
-    run.add_input(name, path)
-    return fileio.decode_group(fileio.load_json(path),
+    return fileio.decode_group(run.load(name, path),
                                base_dir=os.path.dirname(path) or ".")
 
 
 def _load_cocycle(path: str, run: _Run, name: str = "cocycle") -> _cx.Cocycle2:
-    run.add_input(name, path)
-    return fileio.decode_cocycle(fileio.load_json(path),
+    return fileio.decode_cocycle(run.load(name, path),
                                  base_dir=os.path.dirname(path) or ".")
 
 
 def _load_model(path: str, run: _Run):
-    run.add_input("model", path)
-    return fileio.decode_model(fileio.load_json(path),
+    return fileio.decode_model(run.load("model", path),
                                base_dir=os.path.dirname(path) or ".",
                                bound=_max_order())
 
@@ -123,8 +117,8 @@ def _witness_labels(g: _grp.FiniteGroup, pair):
 
 def cmd_group_closure(args) -> int:
     run = _Run(args)
-    run.add_input("generators", args.infile)
-    group, rep = fileio.decode_generator_file(fileio.load_json(args.infile))
+    group, rep = fileio.decode_generator_file(
+        run.load("generators", args.infile))
     if group.order > _max_order():
         raise TbkError(f"group order {group.order} exceeds TBK_MAX_ORDER")
     run.results = {
@@ -146,7 +140,7 @@ def cmd_group_info(args) -> int:
     zc = _grp.center(group)
     run.results = {
         "order": group.order,
-        "abelian": group.is_abelian(),
+        "abelian": zc.order == group.order,
         "exponent": group.exponent(),
         "center_order": zc.order,
         "num_conjugacy_classes": len(classes),

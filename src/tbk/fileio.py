@@ -37,6 +37,44 @@ def _expect(cond: bool, pointer: str, message: str):
         _fail(pointer, message)
 
 
+def _is_int(v: Any) -> bool:
+    """A JSON integer: true and false are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_INT64 = (-2 ** 63, 2 ** 63)
+
+
+def decode_table(rows: list, n: int, pointer: str,
+                 bounds: tuple[int, int] = _INT64,
+                 message: str = "entry must be a 64-bit integer"
+                 ) -> np.ndarray:
+    """Decode n rows of n JSON integers in [lo, hi) to an int64 array.
+
+    One np.array call converts the rows; the result is taken if it is an
+    integer n x n array inside the bounds. Only a table it does not take is
+    scanned entry by entry, in row-major order, for the first defect.
+    Booleans pass as 0 and 1.
+    """
+    lo, hi = bounds
+    try:
+        arr = np.array(rows)
+    except ValueError:  # ragged rows
+        arr = None
+    # an integer array from Python ints is int64, so only narrower bounds
+    # need the min and max
+    if (arr is not None and arr.dtype.kind == "i" and arr.shape == (n, n)
+            and (bounds == _INT64 or lo <= arr.min() and arr.max() < hi)):
+        return arr
+    for i, row in enumerate(rows):
+        _expect(isinstance(row, list) and len(row) == n, f"{pointer}/{i}",
+                f"row must have {n} entries")
+        for j, v in enumerate(row):
+            _expect(isinstance(v, int) and lo <= v < hi,
+                    f"{pointer}/{i}/{j}", message)
+    return np.array(rows, dtype=np.int64).reshape(n, n)
+
+
 # --- cyclotomic literals ----------------------------------------------------
 
 
@@ -107,7 +145,8 @@ def decode_group(raw: Any, pointer: str = "",
         table = raw["cayley"]
         _expect(isinstance(table, list), f"{pointer}/cayley", "must be an array")
         return _grp.build_from_cayley(
-            table, labels=raw.get("labels"), generators=raw.get("generators"))
+            decode_table(table, len(table), f"{pointer}/cayley"),
+            labels=raw.get("labels"), generators=raw.get("generators"))
     if "generators" in raw:
         _g, rep = decode_generator_file(raw, pointer)
         return _g
@@ -162,7 +201,7 @@ def decode_cocycle(raw: Any, pointer: str = "",
     _expect(isinstance(raw, dict), pointer, "cocycle must be an object")
     _expect("modulus" in raw, f"{pointer}/modulus", "missing modulus")
     m = raw["modulus"]
-    _expect(isinstance(m, int) and m >= 1, f"{pointer}/modulus",
+    _expect(_is_int(m) and m >= 1, f"{pointer}/modulus",
             "modulus must be a positive integer")
     if group is None:
         _expect("group" in raw, f"{pointer}/group",
@@ -171,15 +210,8 @@ def decode_cocycle(raw: Any, pointer: str = "",
     table = raw.get("table")
     _expect(isinstance(table, list) and len(table) == group.order,
             f"{pointer}/table", f"table must have {group.order} rows")
-    arr = np.zeros((group.order, group.order), dtype=np.int64)
-    for i, row in enumerate(table):
-        _expect(isinstance(row, list) and len(row) == group.order,
-                f"{pointer}/table/{i}", f"row must have {group.order} entries")
-        for j, v in enumerate(row):
-            _expect(isinstance(v, int) and 0 <= v < m,
-                    f"{pointer}/table/{i}/{j}",
-                    f"entry must be an integer in [0, {m})")
-            arr[i, j] = v
+    arr = decode_table(table, group.order, f"{pointer}/table", (0, m),
+                       f"entry must be an integer in [0, {m})")
     return Cocycle2(group, m, arr)
 
 
@@ -220,7 +252,7 @@ def decode_model(raw: Any, pointer: str = "", base_dir: str = ".",
     _expect("threshold" in raw, f"{pointer}/threshold",
             "model needs a threshold or an explicit arrangement")
     t = raw["threshold"]
-    _expect(isinstance(t, int) and t >= 1, f"{pointer}/threshold",
+    _expect(_is_int(t) and t >= 1, f"{pointer}/threshold",
             "threshold must be a positive integer")
     return group, rep, _rep.build_model(rep, t)
 
@@ -234,12 +266,22 @@ def encode_model(model: LinearActionModel, generator_indices) -> dict:
 # --- top-level helpers --------------------------------------------------------
 
 
-def load_json(path: str) -> Any:
+def load_json(path: str, digest=None) -> Any:
+    """Parse a UTF-8 JSON file, read once; ``digest.update`` sees its bytes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         _fail("", f"no such file: {path}")
+    if digest is not None:
+        digest.update(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        _fail("", f"{path} is not UTF-8: {exc}")
+    del data  # not held through the parse, where the process peaks
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         _fail("", f"invalid JSON in {path}: {exc}")
 

@@ -26,6 +26,7 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 10_000
 LIGHT_BLOCK_ROWS = 256
+RELABEL_BLOCK_ENTRIES = 1 << 16
 
 
 class FiniteGroup:
@@ -249,8 +250,8 @@ def _validate_group(g: FiniteGroup) -> None:
     for s in g.generators:
         s_row = mul[s]
         for lo in range(0, n, LIGHT_BLOCK_ROWS):
-            left = mul[mul[lo:lo + LIGHT_BLOCK_ROWS, s]]
-            right = mul[lo:lo + LIGHT_BLOCK_ROWS][:, s_row]
+            left = mul.take(mul[lo:lo + LIGHT_BLOCK_ROWS, s], axis=0)
+            right = mul[lo:lo + LIGHT_BLOCK_ROWS].take(s_row, axis=1)
             if not np.array_equal(left, right):
                 x, y = np.argwhere(left != right)[0]
                 witness = (lo + int(x), int(s), int(y))
@@ -280,13 +281,18 @@ def _identity_first(mul: np.ndarray, e: int
     """Relabel the table so that e becomes index 0, the rest kept in order.
 
     Returns the relabelled table, the old index of each new one, and the
-    new index of each old one.
+    new index of each old one. Beside ``mul`` the only n x n array made is
+    the result: the relabelling rewrites it in row blocks.
     """
     n = mul.shape[0]
     order = [e] + [i for i in range(n) if i != e]
-    pos = np.empty(n, dtype=np.int64)
+    pos = np.empty(n, dtype=np.int32)
     pos[order] = np.arange(n)
-    return pos[mul[np.ix_(order, order)]], order, pos
+    out = mul[np.ix_(order, order)]
+    step = max(1, RELABEL_BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        out[lo:lo + step] = pos.take(out[lo:lo + step])
+    return out, order, pos
 
 
 def build_from_cayley(table, labels: Sequence[str] | None = None,
@@ -298,6 +304,7 @@ def build_from_cayley(table, labels: Sequence[str] | None = None,
         raise NotAGroupError(f"table must be square, got {mul.shape}")
     if ((mul < 0) | (mul >= n)).any():
         raise NotAGroupError("table entry out of range")
+    mul = mul.astype(np.int32)
     ident = [e for e in range(n)
              if (mul[e] == np.arange(n)).all() and (mul[:, e] == np.arange(n)).all()]
     if len(ident) != 1:

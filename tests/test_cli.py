@@ -353,3 +353,58 @@ def test_cli_closure_over_the_memory_budget_is_resource_guard(
     code, payload, err = _run(["group", "closure", "--in", str(path)], capsys)
     assert code == 4 and payload == {}
     assert err.startswith("error: closure reached 8 elements")
+
+
+@pytest.mark.parametrize("argv", [["b0", "test", "--cocycle"],
+                                  ["group", "info", "--in"]])
+def test_cli_missing_input_file_is_parse_error(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.json"
+    code, payload, err = _run(argv + [str(missing)], capsys)
+    assert code == 2 and payload == {}
+    assert err == f"error: no such file: {missing}\n"
+
+
+def test_cli_input_that_is_not_utf8_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"modulus": 2, "note": "caf\xe9"}')
+    code, payload, err = _run(["cocycle", "check", "--cocycle", str(path)],
+                              capsys)
+    assert code == 2 and payload == {}
+    assert err.startswith(f"error: {path} is not UTF-8")
+
+
+@pytest.mark.parametrize("cayley, code, message", [
+    ([[0, "1"], ["1", 0]], 2, "entry must be a 64-bit integer at /cayley/0/1"),
+    ([[0, 1], [1, 0.4]], 2, "entry must be a 64-bit integer at /cayley/1/1"),
+    ([[0, None], [1, 0]], 2, "entry must be a 64-bit integer at /cayley/0/1"),
+    ([[0, 1], [1]], 2, "row must have 2 entries at /cayley/1"),
+    ([[0, 1], 1], 2, "row must have 2 entries at /cayley/1"),
+    ([[0, 1], [1, 2]], 3, "table entry out of range"),
+])
+def test_cli_cayley_entries_are_decoded_exactly(tmp_path, capsys, cayley,
+                                                code, message):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"order": 2, "cayley": cayley}))
+    got, payload, err = _run(["group", "info", "--in", str(path)], capsys)
+    assert (got, payload, err) == (code, {}, f"error: {message}\n")
+
+
+def test_cli_boolean_modulus_is_malformed(workdir, capsys):
+    raw = json.loads((workdir / "pairing.json").read_text())
+    raw["modulus"] = True
+    (workdir / "bool.json").write_text(json.dumps(raw))
+    code, payload, err = _run(
+        ["cocycle", "check", "--cocycle", str(workdir / "bool.json")], capsys)
+    assert code == 2 and payload == {}
+    assert err == "error: modulus must be a positive integer at /modulus\n"
+
+
+def test_cli_boolean_threshold_is_malformed(workdir, capsys):
+    raw = json.loads((workdir / "model.json").read_text())
+    raw["threshold"] = True
+    (workdir / "model.json").write_text(json.dumps(raw))
+    code, payload, err = _run(
+        ["bg", "test", "--cocycle", str(workdir / "pairing.json"),
+         "--model", str(workdir / "model.json")], capsys)
+    assert code == 2 and payload == {}
+    assert err == "error: threshold must be a positive integer at /threshold\n"

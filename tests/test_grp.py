@@ -303,3 +303,24 @@ def test_abelian_structure_round_trip():
                 left = pack(s.dlog[g.mul(a, b)])
                 right = product.mul(pack(s.dlog[a]), pack(s.dlog[b]))
                 assert left == right
+
+
+def test_relabelling_the_identity_peaks_near_two_int32_tables():
+    import tracemalloc
+
+    # Z_n written with its identity at index e: a + b - e (mod n)
+    n, e = 1024, 517
+    a = np.arange(n)
+    table = (a[:, None] + a[None, :] - e) % n
+    tracemalloc.start()
+    try:
+        g = grp.build_from_cayley(table, generators=[e + 1])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g._mul.dtype == np.int32
+    # e moves to index 0 and the elements before it move up by one
+    new = np.where(a < e, a + 1, a)
+    new[e] = 0
+    assert np.array_equal(g.mul_table()[new[:, None], new[None, :]], new[table])
+    assert peak <= 2.5 * n * n * 4
