@@ -43,6 +43,7 @@ def _is_int(v: Any) -> bool:
 
 
 _INT64 = (-2 ** 63, 2 ** 63)
+_INT_TYPES = frozenset((int, bool))
 
 
 def decode_table(rows: list, n: int, pointer: str,
@@ -51,20 +52,25 @@ def decode_table(rows: list, n: int, pointer: str,
                  ) -> np.ndarray:
     """Decode n rows of n JSON integers in [lo, hi) to an int64 array.
 
-    One np.array call converts the rows; the result is taken if it is an
-    integer n x n array inside the bounds. Only a table it does not take is
-    scanned entry by entry, in row-major order, for the first defect.
-    Booleans pass as 0 and 1.
+    A C-level pass over each row checks that it is a list of n ints; one
+    np.array call then converts the rows, and the result is taken if it is
+    inside the bounds. Only a table it does not take is scanned entry by
+    entry, in row-major order, for the first defect. Booleans pass as 0
+    and 1.
     """
     lo, hi = bounds
-    try:
-        arr = np.array(rows)
-    except ValueError:  # ragged rows
-        arr = None
-    # an integer array from Python ints is int64, so only narrower bounds
-    # need the min and max
-    if (arr is not None and arr.dtype.kind == "i" and arr.shape == (n, n)
-            and (bounds == _INT64 or lo <= arr.min() and arr.max() < hi)):
+    arr = None
+    # types are checked before numpy sees the rows: left to choose the
+    # dtype, np.array makes a table holding one string into a unicode
+    # array n*n entries wide, each as long as that string
+    if all(type(row) is list and len(row) == n
+           and _INT_TYPES.issuperset(map(type, row)) for row in rows):
+        try:
+            arr = np.array(rows, dtype=np.int64)
+        except OverflowError:  # an entry outside int64
+            pass
+    if arr is not None and (bounds == _INT64
+                            or lo <= arr.min() and arr.max() < hi):
         return arr
     for i, row in enumerate(rows):
         _expect(isinstance(row, list) and len(row) == n, f"{pointer}/{i}",

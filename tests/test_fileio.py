@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,3 +104,21 @@ def test_group_table_entries_must_fit_in_64_bits():
     assert info.value.pointer == "/cayley/1/1"
     arr = fileio.decode_table([[0, 2 ** 63 - 1], [1, 0]], 2, "/cayley")
     assert arr.dtype == np.int64 and arr[0, 1] == 2 ** 63 - 1
+
+
+def test_long_string_entry_is_rejected_without_a_wide_array():
+    # np.array left to choose the dtype would build a 48 x 48 unicode array
+    # of 5000-character entries, 46 MB, before the scan found the string
+    n = 48
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    rows[40][7] = "7" * 5000
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedError) as info:
+            fileio.decode_table(rows, n, "/cayley")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.pointer == "/cayley/40/7"
+    assert str(info.value) == "entry must be a 64-bit integer"
+    assert peak < 1_000_000
