@@ -148,25 +148,10 @@ _pointwise_fixed_space = _rep.joint_fixed_space  # V^K for a set of elements
 
 def _cyclic_quotient_exists_with_open_fixed_space(
         a: Subgroup, model: LinearActionModel) -> tuple[bool, Subgroup | None, int]:
-    """Search K <= A with A/K cyclic and V^K meeting the open set."""
-    g = a.parent
+    """First K <= A by (order, elements) with A/K cyclic and V^K meeting U."""
     rep = model.rep
-    els = list(a.elements)
-    seen: set[frozenset] = set()
-    candidates: list[Subgroup] = []
-    for x in els:
-        for y in els:
-            sub = _grp.subgroup_generated(g, [x, y])
-            key = frozenset(sub.elements)
-            if key not in seen:
-                seen.add(key)
-                candidates.append(sub)
-    a_set = set(els)
-    for k_sub in sorted(candidates, key=lambda s: (s.order, s.elements)):
-        if not any(set(_grp.subgroup_generated(
-                g, list(k_sub.witness_generators) + [x]).elements) == a_set
-                for x in els):
-            continue  # A/K is not cyclic
+    for k_sub in sorted(_grp.cyclic_quotient_kernels(a),
+                        key=lambda s: (s.order, s.elements)):
         w = _pointwise_fixed_space(rep, k_sub.witness_generators)
         if _rep.meets_complement(w, model):
             return True, k_sub, rep.degree - w.dim
@@ -180,12 +165,14 @@ def in_BG_bicyclic(c: _cx.Cocycle2, model: LinearActionModel) -> BicyclicVerdict
     (every bicyclic subgroup is conjugate to one of these, and all the
     conditions are conjugation-covariant). Whenever some K <= A has cyclic
     quotient and V^K meets the open set, the restriction of c to A must be
-    symmetric.
+    symmetric. Whether such a K exists depends on the model only, so it is
+    decided once per A and model.
     """
     _cx.ensure_cocycle(c)
     g = c.group
     if model.group is not g:
         raise ModulusMismatchError("model group does not match the cocycle")
+    admissible = model._cache.setdefault("bicyclic", {})
     seen: set[frozenset] = set()
     for rep_ in _grp.class_representatives(g):
         z = _grp.centralizer(g, rep_)
@@ -195,8 +182,10 @@ def in_BG_bicyclic(c: _cx.Cocycle2, model: LinearActionModel) -> BicyclicVerdict
             if key in seen:
                 continue
             seen.add(key)
-            ok, k_sub, codim = _cyclic_quotient_exists_with_open_fixed_space(
-                a_sub, model)
+            if key not in admissible:
+                admissible[key] = \
+                    _cyclic_quotient_exists_with_open_fixed_space(a_sub, model)
+            ok, k_sub, codim = admissible[key]
             if not ok:
                 continue
             if not _cx.symmetric_on(c, a_sub):

@@ -118,9 +118,7 @@ def _witness_labels(g: _grp.FiniteGroup, pair):
 def cmd_group_closure(args) -> int:
     run = _Run(args)
     group, rep = fileio.decode_generator_file(
-        run.load("generators", args.infile))
-    if group.order > _max_order():
-        raise TbkError(f"group order {group.order} exceeds TBK_MAX_ORDER")
+        run.load("generators", args.infile), bound=_max_order())
     run.results = {
         "order": group.order,
         "degree": rep.degree,
@@ -404,8 +402,7 @@ def _emit_bundle_files(bundle, directory: str) -> list[str]:
 def cmd_example(args) -> int:
     run = _Run(args)
     bundle = _ex.bogomolov_example(args.p, convention=args.convention,
-                                   allow_large=args.allow_large,
-                                   bound=_max_order())
+                                   allow_large=args.allow_large)
     survey = _rep.fixed_locus_survey(bundle.model)
     # the six pairing forms e12 ... e34, not the ext* extension classes
     elementary = [bundle.cocycle(n) for n in bundle.catalog_names

@@ -10,7 +10,6 @@ character; these feed the obstruction-group scans.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import cocycle as _cx
@@ -121,49 +120,21 @@ def _quotient_structure_on_x_basis(ext: _grp.CentralExtension,
     """Discrete logs of the quotient w.r.t. the images of x1..x4."""
     q = ext.quotient
     basis = tuple(int(ext.projection[x]) for x in x_idx)
-    dlog: dict[int, tuple[int, ...]] = {}
-    for exps in itertools.product(range(p), repeat=len(basis)):
-        g = 0
-        for b, e in zip(basis, exps):
-            g = q.mul(g, q.power(b, e))
-        if g in dlog:
-            raise NotAGroupError("generator images do not form a basis")
-        dlog[g] = exps
-    if len(dlog) != q.order:
-        raise NotAGroupError("generator images do not span the quotient")
-    return AbelianStructure((p,) * len(basis), basis, dlog)
-
-
-def _index_p_central_subgroups(group: FiniteGroup, z: Subgroup,
-                               p: int) -> list[Subgroup]:
-    """Index-p subgroups of the central Z_p^3, as kernels of functionals."""
-    st = _grp.abelian_structure(z)
-    assert st.invariant_factors == (p,) * 3
-    out = []
-    for phi in itertools.product(range(p), repeat=3):
-        if not any(phi):
-            continue
-        lead = next(i for i, v in enumerate(phi) if v)
-        if phi[lead] != 1:
-            continue  # normalize up to scalar so each hyperplane appears once
-        members = tuple(sorted(
-            g for g in z.elements
-            if sum(a * b for a, b in zip(st.dlog[g], phi)) % p == 0))
-        out.append(Subgroup(group, members,
-                            _grp._greedy_subgroup_generators(
-                                group.mul_table(), members)))
-    return out
+    factors = (p,) * len(basis)
+    dlog = _grp._discrete_logs(q, basis, factors)
+    if len(dlog) != p ** len(basis) or len(dlog) != q.order:
+        raise NotAGroupError("generator images do not form a basis")
+    return AbelianStructure(factors, basis, dlog)
 
 
 def bogomolov_example(p: int, convention: str = "involution",
-                      allow_large: bool = False,
-                      bound: int = _grp.DEFAULT_ORDER_CAP) -> ExampleBundle:
+                      allow_large: bool = False) -> ExampleBundle:
     """Assemble the order-p^7 example: group, representation, model, catalog."""
     if p not in (2, 3) and not allow_large:
         raise OrderBoundExceededError(
             f"p = {p} exceeds the default resource guard; pass allow_large")
     gens, n = block_generators(p, convention)
-    group, rep = _rep.matrix_closure(gens, order=n, bound=max(bound, p ** 7 + 1))
+    group, rep = _rep.matrix_closure(gens, order=n, bound=p ** 7 + 1)
     if group.order != p ** 7:
         raise NotAGroupError(
             f"closure produced order {group.order}, expected p^7 = {p ** 7}")
@@ -206,7 +177,10 @@ def bogomolov_example(p: int, convention: str = "involution",
             catalog.append((f"e{i + 1}{j + 1}",
                             _cx.inflate(on_quotient, ext)))
 
-    for idx, nsub in enumerate(_index_p_central_subgroups(group, zsub, p)):
+    # index-p subgroups of the center, numbered by their first functional
+    hyperplanes = [k for k in _grp.cyclic_quotient_kernels(zsub)
+                   if k.order * p == zsub.order]
+    for idx, nsub in enumerate(hyperplanes):
         ext_n = _grp.quotient_by_central(group, nsub)
         gq = ext_n.quotient
         k_img = _grp.subgroup_generated(

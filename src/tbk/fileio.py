@@ -92,7 +92,7 @@ def encode_cyclo(x: CycloNumber) -> list[str]:
 
 
 def decode_fraction(raw: Any, pointer: str) -> Fraction:
-    if isinstance(raw, int):
+    if _is_int(raw):
         return Fraction(raw)
     _expect(isinstance(raw, str), pointer, "expected a 'num/den' string")
     try:
@@ -105,7 +105,7 @@ def decode_fraction(raw: Any, pointer: str) -> Fraction:
 
 
 def decode_cyclo(raw: Any, pointer: str) -> CycloNumber:
-    if isinstance(raw, (int, str)):
+    if _is_int(raw) or isinstance(raw, str):
         return CycloNumber.rational(decode_fraction(raw, pointer))
     _expect(isinstance(raw, list) and raw, pointer,
             "cyclotomic literal must be a non-empty array")
@@ -150,9 +150,17 @@ def decode_group(raw: Any, pointer: str = "",
     if "cayley" in raw:
         table = raw["cayley"]
         _expect(isinstance(table, list), f"{pointer}/cayley", "must be an array")
+        gens = raw.get("generators")
+        if gens is not None:
+            _expect(isinstance(gens, list), f"{pointer}/generators",
+                    "must be an array")
+            for i, s in enumerate(gens):
+                _expect(_is_int(s) and 0 <= s < len(table),
+                        f"{pointer}/generators/{i}",
+                        f"generator must be an integer in [0, {len(table)})")
         return _grp.build_from_cayley(
             decode_table(table, len(table), f"{pointer}/cayley"),
-            labels=raw.get("labels"), generators=raw.get("generators"))
+            labels=raw.get("labels"), generators=gens)
     if "generators" in raw:
         _g, rep = decode_generator_file(raw, pointer)
         return _g
@@ -169,7 +177,7 @@ def encode_generator_file(rep: MatrixRep, generator_indices) -> dict:
 
 
 def decode_generator_file(raw: Any, pointer: str = "",
-                          bound: int | None = None
+                          bound: int = _grp.DEFAULT_ORDER_CAP
                           ) -> tuple[FiniteGroup, MatrixRep]:
     _expect(isinstance(raw, dict), pointer, "generator file must be an object")
     gens = raw.get("generators")
@@ -183,8 +191,6 @@ def decode_generator_file(raw: Any, pointer: str = "",
             _expect(m.rows == degree, f"{pointer}/generators/{i}",
                     f"matrix is {m.rows}x{m.cols}, expected degree {degree}")
     order = raw.get("cyclotomic_order")
-    if bound is None:
-        bound = raw.get("bound", _grp.DEFAULT_ORDER_CAP)
     return _rep.matrix_closure(mats, order=order, bound=bound)
 
 
@@ -225,7 +231,7 @@ def decode_cocycle(raw: Any, pointer: str = "",
 
 
 def decode_model(raw: Any, pointer: str = "", base_dir: str = ".",
-                 bound: int | None = None
+                 bound: int = _grp.DEFAULT_ORDER_CAP
                  ) -> tuple[FiniteGroup, MatrixRep, LinearActionModel]:
     _expect(isinstance(raw, dict), pointer, "model must be an object")
     if "generators" in raw:

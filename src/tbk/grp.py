@@ -8,6 +8,7 @@ reproduce identical indexings across runs and platforms.
 
 from __future__ import annotations
 
+import itertools
 import os
 import resource
 from dataclasses import dataclass
@@ -432,9 +433,13 @@ def class_representatives(g: FiniteGroup) -> list[int]:
 
 
 def centralizer(g: FiniteGroup, x: int) -> Subgroup:
-    members = np.nonzero(g._mul[:, x] == g._mul[x, :])[0]
-    els = tuple(int(m) for m in members)
-    return Subgroup(g, els, _greedy_subgroup_generators(g._mul, els))
+    """The centralizer of x, kept per group: every scan asks for it again."""
+    cache = g._cache.setdefault("centralizers", {})
+    if x not in cache:
+        members = np.nonzero(g._mul[:, x] == g._mul[x, :])[0]
+        els = tuple(int(m) for m in members)
+        cache[x] = Subgroup(g, els, _greedy_subgroup_generators(g._mul, els))
+    return cache[x]
 
 
 def center(g: FiniteGroup) -> Subgroup:
@@ -513,25 +518,49 @@ def abelian_structure(h: Subgroup | FiniteGroup) -> AbelianStructure:
         remaining = comp
 
     factors = tuple(g.order_of(b) for b in basis)
-    # enumerate exponent vectors to make discrete logs
-    dlog: dict[int, tuple[int, ...]] = {}
-    exps = [0] * len(basis)
-    total = 1
-    for d in factors:
-        total *= d
-    for _ in range(total):
-        x = 0
-        for b, e in zip(basis, exps):
-            x = g.mul(x, g.power(b, e))
-        dlog[x] = tuple(exps)
-        for i in range(len(exps) - 1, -1, -1):
-            exps[i] += 1
-            if exps[i] < factors[i]:
-                break
-            exps[i] = 0
+    dlog = _discrete_logs(g, basis, factors)
     if len(dlog) != len(els):
         raise NotAGroupError("discrete log enumeration does not cover the subgroup")
     return AbelianStructure(factors, tuple(basis), dlog)
+
+
+def _discrete_logs(g: FiniteGroup, basis: Sequence[int],
+                   factors: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """Map prod b_i^e_i to e, for each e with 0 <= e_i < factors[i].
+
+    Vectors run in ``itertools.product`` order and a repeated product keeps
+    its first one, so the basis is free exactly when every vector gives an
+    entry; each caller checks that count.
+    """
+    dlog: dict[int, tuple[int, ...]] = {}
+    for exps in itertools.product(*(range(d) for d in factors)):
+        x = 0
+        for b, e in zip(basis, exps):
+            x = g.mul(x, g.power(b, e))
+        dlog.setdefault(x, exps)
+    return dlog
+
+
+def cyclic_quotient_kernels(h: Subgroup) -> list[Subgroup]:
+    """The subgroups K of an abelian subgroup h with h/K cyclic.
+
+    h/K is cyclic iff it embeds in Q/Z, so these are the kernels of the
+    characters x -> sum_i u_i dlog_i(x) e/d_i mod e, with d_i the invariant
+    factors and e the exponent. Each kernel is listed once, at its first u
+    in ``itertools.product`` order.
+    """
+    st = abelian_structure(h)
+    factors = st.invariant_factors
+    e = factors[0] if factors else 1
+    kernels: dict[tuple[int, ...], Subgroup] = {}
+    for u in itertools.product(*(range(d) for d in factors)):
+        w = [ui * (e // d) for ui, d in zip(u, factors)]
+        els = tuple(sorted(x for x, v in st.dlog.items()
+                           if sum(a * b for a, b in zip(w, v)) % e == 0))
+        if els not in kernels:
+            kernels[els] = Subgroup(h.parent, els, _greedy_subgroup_generators(
+                h.parent._mul, els))
+    return list(kernels.values())
 
 
 def quotient_by_normal(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, np.ndarray, np.ndarray]:

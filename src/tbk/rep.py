@@ -137,8 +137,9 @@ class LinearActionModel:
     """Representation plus a stable arrangement of proper subspaces.
 
     What depends only on the arrangement is computed once per model and
-    kept in ``_cache``: the members grouped by dimension here, the open-set
-    flags in ``brauer``.
+    kept in ``_cache``: the members grouped by dimension here; in
+    ``brauer``, the open-set flags and, per bicyclic subgroup A of the
+    bicyclic scan, its first admissible kernel K.
     """
 
     rep: MatrixRep

@@ -305,6 +305,19 @@ def test_criterion_09_bicyclic_cross_validation():
             assert br.in_BG(c, open_model).member == br.in_B0(c).member, name
 
 
+def test_criterion_09_bicyclic_cross_validation_p3():
+    with criterion(9, "pair scan == bicyclic scan on the p=3 six forms", 90):
+        b = _bundle(3)
+        open_model = rp.build_model(b.rep, b.rep.degree + 1)
+        assert open_model.arrangement == ()
+        verdicts = {(model is open_model, name): br.bg_cross_check(
+                        b.cocycle(name), model).member
+                    for model in (b.model, open_model)
+                    for name in ("e12", "e13", "e14", "e23", "e24", "e34")}
+        non_members = {key for key, member in verdicts.items() if not member}
+        assert non_members == {(True, "e13"), (True, "e14")}
+
+
 def test_criterion_10_cor53_termwise():
     with criterion(10, "termwise twisted == untwisted for members; witness else", 300):
         b = _bundle(2)
@@ -328,29 +341,53 @@ def test_criterion_10_cor53_termwise():
         assert flags[verdict.failing_class]
 
 
+def test_criterion_10_cor53_termwise_p3():
+    with criterion(10, "termwise twisted == untwisted on the p=3 catalog", 60):
+        b = _bundle(3)
+        for name in b.catalog_names:
+            verdict = br.verify_cor53(b.model, b.cocycle(name))
+            assert verdict.in_obstruction_group == (
+                verdict.failing_class is None), name
+            if verdict.in_obstruction_group:
+                assert verdict.termwise_equal, name
+                assert verdict.twisted_total == verdict.untwisted_total
+
+
+def _assert_verdicts_stable(b: ex.ExampleBundle, cocycles, shifts: int,
+                            rng: random.Random) -> None:
+    """B0, B_G(U) and L-character verdicts survive random coboundary shifts."""
+    g = b.group
+    for c in cocycles:
+        base_b0 = br.in_B0(c).member
+        base_bg = br.in_BG(c, b.model).member
+        base_report = br.orbifold_dims(b.model, c)
+        base_pattern = tuple(r.l_trivial for r in base_report.rows)
+        for _ in range(shifts):
+            lam = cx.Cochain1(
+                g, c.modulus,
+                [0] + [rng.randrange(c.modulus)
+                       for _ in range(g.order - 1)])
+            shifted = c + cx.coboundary_of(lam)
+            assert br.in_B0(shifted).member == base_b0
+            assert br.in_BG(shifted, b.model).member == base_bg
+            report = br.orbifold_dims(b.model, shifted)
+            assert tuple(r.l_trivial for r in report.rows) == base_pattern
+            assert report.twisted_total == base_report.twisted_total
+            assert report.untwisted_total == base_report.untwisted_total
+
+
 def test_criterion_11_class_invariance():
     with criterion(11, "verdicts stable under 20 random coboundary shifts", 120):
         b = _bundle(2)
-        g = b.group
-        rng = random.Random(11)
-        for name in b.catalog_names:
-            c = b.cocycle(name)
-            base_b0 = br.in_B0(c).member
-            base_bg = br.in_BG(c, b.model).member
-            base_report = br.orbifold_dims(b.model, c)
-            base_pattern = tuple(r.l_trivial for r in base_report.rows)
-            for _ in range(20):
-                lam = cx.Cochain1(
-                    g, c.modulus,
-                    [0] + [rng.randrange(c.modulus)
-                           for _ in range(g.order - 1)])
-                shifted = c + cx.coboundary_of(lam)
-                assert br.in_B0(shifted).member == base_b0
-                assert br.in_BG(shifted, b.model).member == base_bg
-                report = br.orbifold_dims(b.model, shifted)
-                assert tuple(r.l_trivial for r in report.rows) == base_pattern
-                assert report.twisted_total == base_report.twisted_total
-                assert report.untwisted_total == base_report.untwisted_total
+        _assert_verdicts_stable(b, [b.cocycle(n) for n in b.catalog_names],
+                                20, random.Random(11))
+
+
+def test_criterion_11_class_invariance_p3():
+    with criterion(11, "p=3 six-form verdicts stable under coboundary shifts",
+                   60):
+        b = _bundle(3)
+        _assert_verdicts_stable(b, _six_forms(b), 2, random.Random(311))
 
 
 def test_criterion_12_small_twisted_dimension():

@@ -408,3 +408,63 @@ def test_cli_boolean_threshold_is_malformed(workdir, capsys):
          "--model", str(workdir / "model.json")], capsys)
     assert code == 2 and payload == {}
     assert err == "error: threshold must be a positive integer at /threshold\n"
+
+
+@pytest.mark.parametrize("generators, message", [
+    ([5], "generator must be an integer in [0, 2) at /generators/0"),
+    ([1, -1], "generator must be an integer in [0, 2) at /generators/1"),
+    (["1"], "generator must be an integer in [0, 2) at /generators/0"),
+    ([True], "generator must be an integer in [0, 2) at /generators/0"),
+    ([1.5], "generator must be an integer in [0, 2) at /generators/0"),
+    (1, "must be an array at /generators"),
+], ids=["out-of-range", "negative", "string", "boolean", "float", "not-array"])
+def test_cli_group_generators_are_checked(tmp_path, capsys, generators,
+                                          message):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"order": 2, "cayley": [[0, 1], [1, 0]],
+                                "generators": generators}))
+    got, payload, err = _run(["group", "info", "--in", str(path)], capsys)
+    assert (got, payload, err) == (2, {}, f"error: {message}\n")
+
+
+def _q8_generator_file(tmp_path, **extra):
+    from tbk import example as ex
+
+    pm, qm, _n = ex.clock_and_shift(2, "literal")
+    gens = {"degree": 2, "cyclotomic_order": 4,
+            "generators": [fileio.encode_matrix(pm), fileio.encode_matrix(qm)],
+            **extra}
+    path = tmp_path / "gens.json"
+    path.write_text(fileio.dump_json(gens))
+    return path
+
+
+def test_cli_boolean_in_a_cyclotomic_literal_is_malformed(tmp_path, capsys):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"degree": 2, "cyclotomic_order": 1,
+                                "generators": [[[True, False],
+                                                [False, True]]]}))
+    code, payload, err = _run(["group", "closure", "--in", str(path)], capsys)
+    assert code == 2 and payload == {}
+    assert err == ("error: cyclotomic literal must be a non-empty array "
+                   "at /generators/0/0/0\n")
+    with pytest.raises(fileio.MalformedError):
+        fileio.decode_fraction(True, "")
+
+
+def test_cli_closure_stops_at_the_order_cap(tmp_path, capsys, monkeypatch):
+    path = _q8_generator_file(tmp_path)
+    monkeypatch.setenv("TBK_MAX_ORDER", "7")
+    code, payload, err = _run(["group", "closure", "--in", str(path)], capsys)
+    assert code == 4 and payload == {}
+    assert err == "error: closure exceeded bound 7\n"
+    monkeypatch.setenv("TBK_MAX_ORDER", "8")
+    code, payload, _ = _run(["group", "closure", "--in", str(path)], capsys)
+    assert code == 0 and payload["results"]["order"] == 8
+
+
+@pytest.mark.parametrize("bound", ["x", 2])
+def test_cli_generator_file_bound_field_is_ignored(tmp_path, capsys, bound):
+    path = _q8_generator_file(tmp_path, bound=bound)
+    code, payload, _ = _run(["group", "closure", "--in", str(path)], capsys)
+    assert code == 0 and payload["results"]["order"] == 8

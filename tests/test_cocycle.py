@@ -231,6 +231,51 @@ def test_inflate_rejects_non_homomorphism():
         cx.inflate(c, group=g, projection=bad)
 
 
+def _first_non_homomorphic_pair_by_sweep(g, q, proj):
+    """Reference: the full n^2 sweep of pi(ab) = pi(a)pi(b), row-major."""
+    gmul = g.mul_table().astype(np.int64)
+    qmul = q.mul_table().astype(np.int64)
+    bad = np.argwhere(proj[gmul] != qmul[np.ix_(proj, proj)])
+    return tuple(map(int, bad[0])) if len(bad) else None
+
+
+def test_inflate_homomorphism_check_matches_full_sweep():
+    from tbk import example as ex
+
+    relabelled = _relabelled_z4_z4()
+    rng = np.random.default_rng(37)
+    for ext in (grp.quotient_by_central(relabelled, grp.subgroup_generated(
+                    relabelled, relabelled.generators[:1])),
+                ex.bogomolov_example(2).quotient_extension):
+        g, q = ext.total, ext.quotient
+        c = cx.Cocycle2.zero(q, 3)
+        assert cx.inflate(c, ext).group is g
+        failures = 0
+        for trial in range(80):
+            proj = np.array(ext.projection, dtype=np.int64)
+            for _ in range(1 + trial % 3):
+                proj[rng.integers(1, g.order)] = rng.integers(0, q.order)
+            expected = _first_non_homomorphic_pair_by_sweep(g, q, proj)
+            if expected is None:
+                assert cx.inflate(c, group=g, projection=proj).group is g
+                continue
+            failures += 1
+            with pytest.raises(NotAHomomorphismError) as info:
+                cx.inflate(c, group=g, projection=proj)
+            assert info.value.witness == expected
+            assert str(expected) in str(info.value)
+        assert failures > 60
+    # rows 0 and 1 of Z_2 x Z_2 (generators 2, 1) are good here, so only
+    # the row of the last generator, 2, shows the failure
+    k, z3 = klein(), grp.cyclic(3)
+    assert max(k.generators) == 2
+    proj = np.array([0, 0, 1, 1])
+    assert _first_non_homomorphic_pair_by_sweep(k, z3, proj) == (2, 2)
+    with pytest.raises(NotAHomomorphismError) as info:
+        cx.inflate(cx.Cocycle2.zero(z3, 3), group=k, projection=proj)
+    assert info.value.witness == (2, 2)
+
+
 def test_from_central_extension_z4_over_z2():
     z4 = grp.cyclic(4)
     ext = grp.quotient_by_central(z4, grp.subgroup_generated(z4, [2]))

@@ -324,3 +324,49 @@ def test_relabelling_the_identity_peaks_near_two_int32_tables():
     new[e] = 0
     assert np.array_equal(g.mul_table()[new[:, None], new[None, :]], new[table])
     assert peak <= 2.5 * n * n * 4
+
+
+def _whole(g: grp.FiniteGroup) -> grp.Subgroup:
+    return grp.Subgroup(g, tuple(range(g.order)), g.generators)
+
+
+def _cyclic_quotient_subgroups_by_search(g: grp.FiniteGroup) -> set:
+    """Every K generated by two elements with g = <K, a> for some a."""
+    subgroups = {grp.subgroup_generated(g, [x, y]).elements
+                 for x in range(g.order) for y in range(g.order)}
+    return {k for k in subgroups
+            if any(len(grp.subgroup_generated(g, list(k) + [a]).elements)
+                   == g.order for a in range(g.order))}
+
+
+@pytest.mark.parametrize("factors", [(4, 2), (3, 3), (8,)])
+def test_cyclic_quotient_kernels_match_a_search(factors):
+    g = grp.cyclic(factors[0])
+    for d in factors[1:]:
+        g = grp.direct_product(g, grp.cyclic(d))
+    kernels = grp.cyclic_quotient_kernels(_whole(g))
+    found = [k.elements for k in kernels]
+    assert len(found) == len(set(found))
+    assert set(found) == _cyclic_quotient_subgroups_by_search(g)
+    for k in kernels:
+        assert k.elements == tuple(sorted(k.elements))
+        assert grp.subgroup_generated(
+            g, k.witness_generators).elements == k.elements
+
+
+def test_index_p_kernels_come_in_normalised_functional_order():
+    # Z_3^3: the hyperplanes, each at its functional with leading coefficient 1
+    p = 3
+    g = grp.direct_product(grp.direct_product(grp.cyclic(p), grp.cyclic(p)),
+                           grp.cyclic(p))
+    whole = _whole(g)
+    st = grp.abelian_structure(whole)
+    expected = []
+    for phi in itertools.product(range(p), repeat=3):
+        if any(phi) and phi[next(i for i, v in enumerate(phi) if v)] == 1:
+            expected.append(tuple(sorted(
+                x for x in range(g.order)
+                if sum(a * b for a, b in zip(st.dlog[x], phi)) % p == 0)))
+    got = [k.elements for k in grp.cyclic_quotient_kernels(whole)
+           if k.order * p == g.order]
+    assert got == expected
