@@ -133,7 +133,7 @@ class CycloNumber:
 
     def key(self):
         """Hashable, lexicographically sortable canonical key."""
-        return tuple((c.numerator, c.denominator) for c in self.coeffs)
+        return tuple(map(Fraction.as_integer_ratio, self.coeffs))
 
     # field structure ----------------------------------------------------
 

@@ -566,16 +566,19 @@ def cyclic_quotient_kernels(h: Subgroup) -> list[Subgroup]:
 def quotient_by_normal(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, np.ndarray, np.ndarray]:
     """Quotient by a normal subgroup: (quotient, projection, min-member section)."""
     nels = np.array(n.elements, dtype=np.int64)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[nels] = True
     for x in n.elements:
-        for t in range(g.order):
-            if g.conj(t, x) not in n.element_set():
-                raise NonCentralSubgroupError(
-                    f"subgroup is not normal: conj({t}, {x}) escapes",
-                    witness=(t, x))
+        # t x t^-1 for every t at once
+        escapes = np.flatnonzero(~inside[g._mul[g._mul[:, x], g._inv]])
+        if escapes.size:
+            t = int(escapes[0])
+            raise NonCentralSubgroupError(
+                f"subgroup is not normal: conj({t}, {x}) escapes",
+                witness=(t, x))
     rep = g._mul[:, nels].min(axis=1)
     reps = np.unique(rep)
-    qindex = {int(r): i for i, r in enumerate(reps)}
-    proj = np.array([qindex[int(rep[x])] for x in range(g.order)], dtype=np.int32)
+    proj = np.searchsorted(reps, rep).astype(np.int32)
     q = len(reps)
     qmul = np.empty((q, q), dtype=np.int32)
     for i, r in enumerate(reps):

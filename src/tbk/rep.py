@@ -451,8 +451,8 @@ def build_model(rep: MatrixRep, threshold: int) -> LinearActionModel:
         w = rep.fixed_space(g)
         if degree - w.dim >= threshold:
             seen.setdefault(w.key(), w)
-    arrangement = tuple(sorted(seen.values(),
-                               key=lambda s: (degree - s.dim, s.key())))
+    arrangement = tuple(w for _, w in sorted(
+        seen.items(), key=lambda kw: (degree - kw[1].dim, kw[0])))
     return LinearActionModel(rep, arrangement, threshold)
 
 

@@ -266,6 +266,27 @@ def test_quotient_requires_central():
         grp.quotient_by_central(s3, h)
 
 
+def test_quotient_by_normal_against_element_loop():
+    s3 = s3_group()
+    three = next(x for x in range(6) if s3.order_of(x) == 3)
+    quot, proj, section = grp.quotient_by_normal(
+        s3, grp.subgroup_generated(s3, [three]))
+    assert quot.order == 2
+    least = [min(s3.mul(x, y) for y in (0, three, s3.mul(three, three)))
+             for x in range(6)]
+    cosets = sorted(set(least))
+    assert list(section) == cosets
+    assert list(proj) == [cosets.index(m) for m in least]
+    # a non-normal subgroup: the witness is the first escaping (t, x)
+    for two in (x for x in range(6) if s3.order_of(x) == 2):
+        h = grp.subgroup_generated(s3, [two])
+        expected = next((t, x) for x in h.elements for t in range(6)
+                        if s3.conj(t, x) not in h.element_set())
+        with pytest.raises(NonCentralSubgroupError) as info:
+            grp.quotient_by_normal(s3, h)
+        assert info.value.witness == expected
+
+
 def test_subgroup_as_group_roundtrip():
     q8 = q8_group()
     h = grp.centralizer(q8, 2)
