@@ -63,7 +63,6 @@ from .rep import (
     build_model,
     eigen_survey,
     fixed_locus_survey,
-    fixed_space,
     line_stabilizer,
     matrix_closure,
     meets_complement,

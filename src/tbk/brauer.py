@@ -143,16 +143,13 @@ class BicyclicVerdict:
         return self.member
 
 
-_pointwise_fixed_space = _rep.joint_fixed_space  # V^K for a set of elements
-
-
 def _cyclic_quotient_exists_with_open_fixed_space(
         a: Subgroup, model: LinearActionModel) -> tuple[bool, Subgroup | None, int]:
     """First K <= A by (order, elements) with A/K cyclic and V^K meeting U."""
     rep = model.rep
     for k_sub in sorted(_grp.cyclic_quotient_kernels(a),
                         key=lambda s: (s.order, s.elements)):
-        w = _pointwise_fixed_space(rep, k_sub.witness_generators)
+        w = _rep.joint_fixed_space(rep, k_sub.witness_generators)
         if _rep.meets_complement(w, model):
             return True, k_sub, rep.degree - w.dim
     return False, None, -1

@@ -28,16 +28,6 @@ from .errors import (InfeasibleError, MalformedError, ModulusMismatchError,
                      TbkError)
 
 
-def _max_order() -> int:
-    raw = os.environ.get("TBK_MAX_ORDER")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise MalformedError(f"TBK_MAX_ORDER must be an integer, got {raw!r}")
-    return _grp.DEFAULT_ORDER_CAP
-
-
 class _Run:
     """Collects inputs, results and timings for the final report."""
 
@@ -91,8 +81,7 @@ def _load_cocycle(path: str, run: _Run, name: str = "cocycle") -> _cx.Cocycle2:
 
 def _load_model(path: str, run: _Run):
     return fileio.decode_model(run.load("model", path),
-                               base_dir=os.path.dirname(path) or ".",
-                               bound=_max_order())
+                               base_dir=os.path.dirname(path) or ".")
 
 
 def _match_group(c: _cx.Cocycle2, group: _grp.FiniteGroup) -> _cx.Cocycle2:
@@ -118,7 +107,7 @@ def _witness_labels(g: _grp.FiniteGroup, pair):
 def cmd_group_closure(args) -> int:
     run = _Run(args)
     group, rep = fileio.decode_generator_file(
-        run.load("generators", args.infile), bound=_max_order())
+        run.load("generators", args.infile))
     run.results = {
         "order": group.order,
         "degree": rep.degree,
@@ -373,7 +362,7 @@ def cmd_orbifold_verify(args) -> int:
 def cmd_twisted_assoc(args) -> int:
     run = _Run(args)
     c = _load_cocycle(args.cocycle, run)
-    action = _cx.GroupAction.trivial(c.group, args.points)
+    action = _cx.GroupAction.trivial(c.group)
     ok, witness = _cx.twisted_assoc_check(c, action)
     run.results = {"associative": ok,
                    "witness_triple": list(witness) if witness else None}
@@ -401,8 +390,7 @@ def _emit_bundle_files(bundle, directory: str) -> list[str]:
 
 def cmd_example(args) -> int:
     run = _Run(args)
-    bundle = _ex.bogomolov_example(args.p, convention=args.convention,
-                                   allow_large=args.allow_large)
+    bundle = _ex.bogomolov_example(args.p, convention=args.convention)
     survey = _rep.fixed_locus_survey(bundle.model)
     # the six pairing forms e12 ... e34, not the ext* extension classes
     elementary = [bundle.cocycle(n) for n in bundle.catalog_names
@@ -533,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     tw_sub = tw.add_subparsers(dest="sub", required=True)
     p = with_out(tw_sub.add_parser("assoc-check"))
     p.add_argument("--cocycle", required=True)
-    p.add_argument("--points", type=int, default=3)
     p.set_defaults(func=cmd_twisted_assoc, command_path="twisted assoc-check")
 
     exm = sub.add_parser("example", help="built-in example pipelines")
@@ -542,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--convention", choices=list(_ex.CONVENTIONS),
                    default="involution")
-    p.add_argument("--allow-large", action="store_true")
     p.add_argument("--emit-files", metavar="DIR",
                    help="write group.json, model.json and the catalog "
                         "cocycles into DIR for the file-driven commands")

@@ -11,12 +11,13 @@ character; these feed the obstruction-group scans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from . import cocycle as _cx
 from . import grp as _grp
 from . import rep as _rep
 from .cyclo import CycloMatrix, CycloNumber
-from .errors import NotAGroupError, OrderBoundExceededError
+from .errors import MalformedError, NotAGroupError, OrderBoundExceededError
 from .grp import AbelianStructure, FiniteGroup, Subgroup
 from .rep import LinearActionModel, MatrixRep
 
@@ -127,14 +128,22 @@ def _quotient_structure_on_x_basis(ext: _grp.CentralExtension,
     return AbelianStructure(factors, basis, dlog)
 
 
-def bogomolov_example(p: int, convention: str = "involution",
-                      allow_large: bool = False) -> ExampleBundle:
-    """Assemble the order-p^7 example: group, representation, model, catalog."""
-    if p not in (2, 3) and not allow_large:
+def bogomolov_example(p: int, convention: str = "involution") -> ExampleBundle:
+    """Assemble the order-p^7 example: group, representation, model, catalog.
+
+    p^7 is held against the order cap of every closure, ``grp.order_cap()``,
+    before anything is built: the generators are square matrices of size
+    p^2 + 2p, and a p under the cap is small enough to test for primality
+    by trial division.
+    """
+    cap = _grp.order_cap()
+    if p ** 7 > cap:
         raise OrderBoundExceededError(
-            f"p = {p} exceeds the default resource guard; pass allow_large")
+            f"closure would exceed bound {cap}: p^7 = {p ** 7}")
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise MalformedError(f"p = {p} is not a prime")
     gens, n = block_generators(p, convention)
-    group, rep = _rep.matrix_closure(gens, order=n, bound=p ** 7 + 1)
+    group, rep = _rep.matrix_closure(gens, order=n)
     if group.order != p ** 7:
         raise NotAGroupError(
             f"closure produced order {group.order}, expected p^7 = {p ** 7}")
@@ -159,9 +168,6 @@ def bogomolov_example(p: int, convention: str = "involution",
     zsub = _grp.subgroup_generated(group, [a, b, c])
     if zsub.order != p ** 3:
         raise NotAGroupError(f"central subgroup has order {zsub.order}")
-    center_set = _grp.center(group).element_set()
-    if not set(zsub.elements) <= center_set:
-        raise NotAGroupError("commutator subgroup is not central")
 
     ext = _grp.quotient_by_central(group, zsub)
     qst = _quotient_structure_on_x_basis(ext, x_idx, p)

@@ -176,8 +176,7 @@ def encode_generator_file(rep: MatrixRep, generator_indices) -> dict:
     }
 
 
-def decode_generator_file(raw: Any, pointer: str = "",
-                          bound: int = _grp.DEFAULT_ORDER_CAP
+def decode_generator_file(raw: Any, pointer: str = ""
                           ) -> tuple[FiniteGroup, MatrixRep]:
     _expect(isinstance(raw, dict), pointer, "generator file must be an object")
     gens = raw.get("generators")
@@ -191,7 +190,7 @@ def decode_generator_file(raw: Any, pointer: str = "",
             _expect(m.rows == degree, f"{pointer}/generators/{i}",
                     f"matrix is {m.rows}x{m.cols}, expected degree {degree}")
     order = raw.get("cyclotomic_order")
-    return _rep.matrix_closure(mats, order=order, bound=bound)
+    return _rep.matrix_closure(mats, order=order)
 
 
 # --- cocycles ---------------------------------------------------------------
@@ -230,17 +229,15 @@ def decode_cocycle(raw: Any, pointer: str = "",
 # --- models -----------------------------------------------------------------
 
 
-def decode_model(raw: Any, pointer: str = "", base_dir: str = ".",
-                 bound: int = _grp.DEFAULT_ORDER_CAP
+def decode_model(raw: Any, pointer: str = "", base_dir: str = "."
                  ) -> tuple[FiniteGroup, MatrixRep, LinearActionModel]:
     _expect(isinstance(raw, dict), pointer, "model must be an object")
     if "generators" in raw:
-        group, rep = decode_generator_file(raw, pointer, bound=bound)
+        group, rep = decode_generator_file(raw, pointer)
     elif "generators_file" in raw:
         path = os.path.join(base_dir, raw["generators_file"])
         group, rep = decode_generator_file(load_json(path),
-                                           f"{pointer}/generators_file",
-                                           bound=bound)
+                                           f"{pointer}/generators_file")
     else:
         _fail(pointer, "model needs 'generators' or 'generators_file'")
     if "arrangement" in raw:

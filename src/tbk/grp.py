@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     InfeasibleError,
+    MalformedError,
     NonCentralSubgroupError,
     NotAbelianError,
     NotAGroupError,
@@ -329,14 +330,26 @@ def _memory_budget() -> int:
     return ram if soft == resource.RLIM_INFINITY else min(soft, ram)
 
 
-def closure(seed: Sequence, multiply: Callable, canonical_key: Callable,
-            bound: int = DEFAULT_ORDER_CAP) -> tuple[FiniteGroup, list]:
+def order_cap() -> int:
+    """The most elements a closure may reach: ``TBK_MAX_ORDER`` if set."""
+    raw = os.environ.get("TBK_MAX_ORDER")
+    if raw:
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            raise MalformedError(f"TBK_MAX_ORDER must be an integer, got {raw!r}")
+    return DEFAULT_ORDER_CAP
+
+
+def closure(seed: Sequence, multiply: Callable, canonical_key: Callable
+            ) -> tuple[FiniteGroup, list]:
     """Close a finite set of abstract elements under an associative product.
 
     Breadth-first search by word length with lexicographic ``canonical_key``
     tie-breaks inside each level, so the element order is deterministic.
     Returns the group (identity relocated to index 0) and the elements in
-    the group's index order.
+    the group's index order. A closure that would pass ``order_cap()``
+    elements raises ``OrderBoundExceededError`` as it finds the next one.
 
     The multiplication table is completed without extra oracle calls: every
     BFS element is x*s with s a seed letter, so column h = y*s satisfies
@@ -347,6 +360,7 @@ def closure(seed: Sequence, multiply: Callable, canonical_key: Callable,
     """
     if not seed:
         raise NotAGroupError("closure needs at least one seed element")
+    bound = order_cap()
     budget = _memory_budget()
     keyed = sorted({canonical_key(x): x for x in seed}.items())
     elements = [x for _, x in keyed]
@@ -576,6 +590,16 @@ def quotient_by_normal(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, np.nda
             raise NonCentralSubgroupError(
                 f"subgroup is not normal: conj({t}, {x}) escapes",
                 witness=(t, x))
+    return _quotient(g, nels)
+
+
+def _quotient(g: FiniteGroup, nels: np.ndarray
+              ) -> tuple[FiniteGroup, np.ndarray, np.ndarray]:
+    """Quotient by a subgroup already known to be normal.
+
+    The quotient table is still validated as a group, which rejects an
+    element set that is not closed.
+    """
     rep = g._mul[:, nels].min(axis=1)
     reps = np.unique(rep)
     proj = np.searchsorted(reps, rep).astype(np.int32)
@@ -593,13 +617,19 @@ def quotient_by_normal(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, np.nda
 
 
 def quotient_by_central(g: FiniteGroup, n: Subgroup) -> CentralExtension:
-    """Central quotient packaged with projection and section data."""
-    zs = center(g).element_set()
-    for x in n.elements:
-        if x not in zs:
-            raise NonCentralSubgroupError(f"element {x} is not central",
-                                          witness=x)
-    quot, proj, section = quotient_by_normal(g, n)
+    """Central quotient packaged with projection and section data.
+
+    x is central iff it commutes with every generator, and a subgroup of
+    central elements is normal, so no sweep over the whole group is made.
+    """
+    nels = np.array(n.elements, dtype=np.int64)
+    gens = np.array(g.generators, dtype=np.int64)
+    moved = (g._mul[np.ix_(nels, gens)]
+             != g._mul[np.ix_(gens, nels)].T).any(axis=1)
+    if moved.any():
+        x = int(nels[moved.argmax()])
+        raise NonCentralSubgroupError(f"element {x} is not central", witness=x)
+    quot, proj, section = _quotient(g, nels)
     return CentralExtension(g, n, quot, proj, section)
 
 

@@ -67,7 +67,9 @@ class MatrixRep:
     """Faithful matrix model of a finite group: one matrix per element index.
 
     ``generator_indices`` holds the element index of each generator the
-    representation was closed from, in the order they were given.
+    representation was closed from, in the order they were given. Fixed
+    spaces are kept in ``_cache``, per representation: two representations
+    of one group have different ones.
     """
 
     group: FiniteGroup
@@ -75,12 +77,14 @@ class MatrixRep:
     order: int  # cyclotomic order of the matrix entries
     matrices: Sequence[CycloMatrix]
     generator_indices: tuple[int, ...]
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def matrix(self, g: int) -> CycloMatrix:
         return self.matrices[g]
 
     def fixed_space(self, g: int) -> Subspace:
-        cache = self.group._cache.setdefault("fixed_spaces", {})
+        cache = self._cache.setdefault("fixed_spaces", {})
         if g not in cache:
             cache[g] = joint_fixed_space(self, (g,))
         return cache[g]
@@ -172,12 +176,6 @@ class FixedLocusSurvey:
     records: tuple[FixedLocusRecord, ...]
     spaces_by_codim: dict[int, tuple[Subspace, ...]]
 
-    def record_for(self, g: int) -> FixedLocusRecord:
-        for r in self.records:
-            if r.representative == g:
-                return r
-        raise KeyError(f"{g} is not a class representative")
-
 
 def _monomial_elements(mats, order: int):
     """Roots of unity and (perm, phase) pairs, or None unless all monomial.
@@ -262,8 +260,7 @@ def _monomial_key(roots: tuple[CycloNumber, ...], degree: int, order: int):
     return key
 
 
-def matrix_closure(generators, order: int | None = None,
-                   bound: int = _grp.DEFAULT_ORDER_CAP
+def matrix_closure(generators, order: int | None = None
                    ) -> tuple[FiniteGroup, MatrixRep]:
     """Close invertible generator matrices into a finite matrix group.
 
@@ -308,16 +305,12 @@ def matrix_closure(generators, order: int | None = None,
         roots, seeds = monomial
         multiply = _monomial_product(len(roots))
         key = _monomial_key(roots, degree, n)
-    group, elements = _grp.closure(seeds, multiply, key, bound=bound)
+    group, elements = _grp.closure(seeds, multiply, key)
     index = {key(elements[g]): g for g in (0, *group.generators)}
     generator_indices = tuple(index[key(s)] for s in seeds)
     matrices = (tuple(elements) if monomial is None
                 else MonomialMatrices(elements, roots, degree, n))
     return group, MatrixRep(group, degree, n, matrices, generator_indices)
-
-
-def fixed_space(rep: MatrixRep, g: int) -> Subspace:
-    return rep.fixed_space(g)
 
 
 @dataclass(frozen=True)
@@ -390,10 +383,6 @@ def line_stabilizer(group: FiniteGroup, rep: MatrixRep, vec) -> Subgroup:
     els = tuple(sorted(members))
     return Subgroup(group, els,
                     _grp._greedy_subgroup_generators(group.mul_table(), els))
-
-
-def contained(w1: Subspace, w2: Subspace) -> bool:
-    return w2.contains(w1)
 
 
 def _members_by_dim(arrangement) -> dict[int, dict[tuple, Subspace]]:

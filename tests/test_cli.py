@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,3 +471,63 @@ def test_cli_generator_file_bound_field_is_ignored(tmp_path, capsys, bound):
     path = _q8_generator_file(tmp_path, bound=bound)
     code, payload, _ = _run(["group", "closure", "--in", str(path)], capsys)
     assert code == 0 and payload["results"]["order"] == 8
+
+
+def test_cli_cap_covers_generator_files_behind_group_files(tmp_path, capsys,
+                                                           monkeypatch):
+    gens = _q8_generator_file(tmp_path)
+    cocycle = tmp_path / "cocycle.json"
+    cocycle.write_text(json.dumps({"modulus": 2, "group": gens.name,
+                                   "table": [[0] * 8 for _ in range(8)]}))
+    monkeypatch.setenv("TBK_MAX_ORDER", "4")
+    for argv in (["group", "info", "--in", str(gens)],
+                 ["cocycle", "check", "--cocycle", str(cocycle)]):
+        code, payload, err = _run(argv, capsys)
+        assert (code, payload, err) == (
+            4, {}, "error: closure exceeded bound 4\n")
+    monkeypatch.delenv("TBK_MAX_ORDER")
+    code, payload, _ = _run(["cocycle", "check", "--cocycle", str(cocycle)],
+                            capsys)
+    assert code == 0 and payload["results"]["is_cocycle"] is True
+
+
+def test_cli_example_is_capped_and_needs_a_prime(capsys, monkeypatch):
+    monkeypatch.setenv("TBK_MAX_ORDER", "100")
+    code, payload, err = _run(["example", "bogomolov", "--p", "2"], capsys)
+    assert code == 4 and payload == {} and err.startswith("error: closure")
+    monkeypatch.delenv("TBK_MAX_ORDER")
+    code, payload, err = _run(["example", "bogomolov", "--p", "1"], capsys)
+    assert (code, payload, err) == (2, {}, "error: p = 1 is not a prime\n")
+
+
+def _command_parsers(parser, path=("tbk",)):
+    """(command path, parser) for every leaf command of the CLI."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _command_parsers(child, (*path, name))
+
+
+def test_readme_synopsis_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = next(b for b in readme.split("```sh\n")[1:]
+                 if b.startswith("tbk group closure")).split("```")[0]
+    entries: list[str] = []
+    for line in block.splitlines():
+        line = line.split("#")[0].rstrip()
+        if line.startswith("tbk "):
+            entries.append(line)
+        elif line.strip():
+            entries[-1] += " " + line.strip()
+    commands = dict(_command_parsers(cli.build_parser()))
+    for path, parser in commands.items():
+        shown = [e for e in entries if e == path or e.startswith(path + " ")]
+        assert shown, f"README does not show {path!r}"
+        options = {s for a in parser._actions for s in a.option_strings}
+        for entry in shown:
+            for flag in re.findall(r"--[a-z][a-z0-9-]*", entry):
+                assert flag in options, f"{path} has no {flag}"
+    assert all(any(e.startswith(path) for path in commands) for e in entries)

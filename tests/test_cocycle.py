@@ -9,6 +9,7 @@ import pytest
 from tbk import cocycle as cx
 from tbk import grp, zmlin
 from tbk.errors import (
+    ActionInvalidError,
     DefectOutsideKernelError,
     IllDefinedFormError,
     InfeasibleError,
@@ -449,9 +450,7 @@ def test_twisted_unity_and_square():
 def test_twisted_assoc_detects_each_perturbation():
     g = klein()
     c = pairing_cocycle(g)
-    # quotient to the first Z_2 swaps two of the three points
-    action = cx.GroupAction.from_point_maps(
-        g, [[0, 1, 2], [0, 2, 1], [0, 1, 2], [0, 2, 1]])
+    action = _klein_swap_action(g)
     ok, _ = cx.twisted_assoc_check(c, action)
     assert ok
     rng = random.Random(9)
@@ -466,6 +465,81 @@ def test_twisted_assoc_detects_each_perturbation():
             continue  # the perturbation happened to stay a cocycle
         ok, witness = cx.twisted_assoc_check(broken, action)
         assert not ok and witness is not None
+
+
+def _klein_swap_action(g):
+    # quotient to the first Z_2 swaps two of the three points
+    return cx.GroupAction.from_point_maps(
+        g, [[0, 1, 2], [0, 2, 1], [0, 1, 2], [0, 2, 1]])
+
+
+def _all_mod2_cocycles(g):
+    n = g.order
+    out = []
+    for bits in itertools.product(range(2), repeat=(n - 1) ** 2):
+        tab = np.zeros((n, n), dtype=np.int64)
+        tab[1:, 1:] = np.reshape(bits, (n - 1, n - 1))
+        c = cx.Cocycle2(g, 2, tab)
+        if cx.is_cocycle(c)[0]:
+            out.append(c)
+    return out
+
+
+def test_twisted_product_is_associative_on_dense_elements():
+    # what the exact check decides, seen on whole elements under an action
+    g = klein()
+    action = _klein_swap_action(g)
+    cocycles = _all_mod2_cocycles(g)
+    assert len(cocycles) == 16  # |B^2| = 2 times |H^2(V_4, Z_2)| = 8
+    rng = np.random.default_rng(1)
+    for c in cocycles:
+        assert cx.twisted_assoc_check(c, action) == (True, None)
+        for _ in range(3):
+            u, v, w = (cx.TwistedAlgebraElement.make(action, 2, {
+                int(x): tuple(int(e) for e in rng.integers(-2, 3, size=3))
+                for x in rng.integers(0, 4, size=2)}) for _ in range(3))
+            left = cx.twisted_product(cx.twisted_product(u, v, c), w, c)
+            right = cx.twisted_product(u, cx.twisted_product(v, w, c), c)
+            assert left == right
+
+
+def test_twisted_assoc_check_rejects_an_action_of_another_group():
+    g = klein()
+    other = _klein_swap_action(klein())
+    with pytest.raises(ActionInvalidError, match="does not match"):
+        cx.twisted_assoc_check(pairing_cocycle(g), other)
+
+
+def _reference_action_witness(g, perm):
+    """The first (a, b) of the full sweep with (ab)s != a(bs) for some s."""
+    for a in range(g.order):
+        for b in range(g.order):
+            if any(perm[g.mul(a, b)][s] != perm[a][perm[b][s]]
+                   for s in range(len(perm[0]))):
+                return (a, b)
+    return None
+
+
+def test_corrupted_actions_fail_where_the_full_sweep_does():
+    from tests.test_grp import s3_group
+
+    rng = random.Random(3)
+    for g in (klein(), grp.cyclic(6), s3_group()):
+        n = g.order
+        regular = [[g.mul(a, s) for s in range(n)] for a in range(n)]
+        cx.GroupAction.from_point_maps(g, regular)
+        tried = 0
+        while tried < 30:
+            perm = [list(r) for r in regular]
+            for a in rng.sample(range(1, n), rng.randint(1, 2)):
+                rng.shuffle(perm[a])
+            want = _reference_action_witness(g, perm)
+            if want is None:
+                continue
+            tried += 1
+            with pytest.raises(ActionInvalidError) as info:
+                cx.GroupAction.from_point_maps(g, perm)
+            assert info.value.witness == want
 
 
 def test_assoc_check_equivalent_to_cocycle_property():

@@ -6,7 +6,7 @@ from tbk import brauer as br
 from tbk import cocycle as cx
 from tbk import example as ex
 from tbk import grp
-from tbk.errors import OrderBoundExceededError
+from tbk.errors import MalformedError, OrderBoundExceededError
 
 
 def test_clock_and_shift_commutator_scalar():
@@ -23,9 +23,19 @@ def test_clock_and_shift_commutator_scalar():
         assert acc.is_one()
 
 
-def test_resource_guard():
+def test_resource_guard(monkeypatch):
     with pytest.raises(OrderBoundExceededError):
         ex.bogomolov_example(5)
+    monkeypatch.setenv("TBK_MAX_ORDER", "100")
+    with pytest.raises(OrderBoundExceededError):
+        ex.bogomolov_example(2)
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9])
+def test_p_must_be_a_prime(p, monkeypatch):
+    monkeypatch.setenv("TBK_MAX_ORDER", str(10 ** 7))  # above every p^7 here
+    with pytest.raises(MalformedError, match=f"^p = {p} is not a prime$"):
+        ex.bogomolov_example(p)
 
 
 def test_bundle_p2_structure(bundle_p2):

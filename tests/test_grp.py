@@ -8,6 +8,7 @@ import pytest
 from tbk import grp
 from tbk.errors import (
     InfeasibleError,
+    MalformedError,
     NonCentralSubgroupError,
     NotAbelianError,
     NotAGroupError,
@@ -117,13 +118,31 @@ def test_closure_trivial_and_involutions():
     assert els[0].is_identity()
 
 
-def test_closure_bound():
+def test_closure_bound(monkeypatch):
     import tbk.cyclo as cyclo
 
     P = cyclo.CycloMatrix([[0, 1], [1, 0]])
     Q = cyclo.CycloMatrix([[1, 0], [0, -1]])
-    with pytest.raises(OrderBoundExceededError):
-        grp.closure([P, Q], lambda a, b: a * b, lambda m: m.key(), bound=5)
+    monkeypatch.setenv("TBK_MAX_ORDER", "5")
+    with pytest.raises(OrderBoundExceededError,
+                       match="^closure exceeded bound 5$"):
+        grp.closure([P, Q], lambda a, b: a * b, lambda m: m.key())
+    monkeypatch.setenv("TBK_MAX_ORDER", "8")
+    assert grp.closure([P, Q], lambda a, b: a * b,
+                       lambda m: m.key())[0].order == 8
+
+
+def test_order_cap_reads_the_environment(monkeypatch):
+    monkeypatch.delenv("TBK_MAX_ORDER", raising=False)
+    assert grp.order_cap() == grp.DEFAULT_ORDER_CAP == 10_000
+    monkeypatch.setenv("TBK_MAX_ORDER", "")
+    assert grp.order_cap() == grp.DEFAULT_ORDER_CAP
+    monkeypatch.setenv("TBK_MAX_ORDER", "0")
+    assert grp.order_cap() == 1
+    monkeypatch.setenv("TBK_MAX_ORDER", "many")
+    with pytest.raises(MalformedError,
+                       match="TBK_MAX_ORDER must be an integer, got 'many'"):
+        grp.closure([1], lambda a, b: (a + b) % 2, lambda x: x)
 
 
 def test_closure_predicts_its_table_against_the_memory_budget(monkeypatch):
@@ -264,6 +283,28 @@ def test_quotient_requires_central():
     h = grp.subgroup_generated(s3, [three])
     with pytest.raises(NonCentralSubgroupError):
         grp.quotient_by_central(s3, h)
+
+
+def test_quotient_by_central_witness_matches_a_center_sweep():
+    s3 = s3_group()
+    for g in (s3, q8_group(), grp.direct_product(s3, grp.cyclic(2))):
+        zs = grp.center(g).element_set()
+        for seed in itertools.combinations(range(g.order), 2):
+            n = grp.subgroup_generated(g, seed)
+            want = next((x for x in n.elements if x not in zs), None)
+            if want is None:
+                ext = grp.quotient_by_central(g, n)
+                assert ext.quotient.order * n.order == g.order
+                continue
+            with pytest.raises(NonCentralSubgroupError) as info:
+                grp.quotient_by_central(g, n)
+            assert info.value.witness == want
+
+
+def test_quotient_by_central_rejects_an_unclosed_element_set():
+    z4 = grp.cyclic(4)
+    with pytest.raises(NotAGroupError):
+        grp.quotient_by_central(z4, grp.Subgroup(z4, (0, 1), (1,)))
 
 
 def test_quotient_by_normal_against_element_loop():

@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-from tbk import brauer as br
 from tbk import example as ex
 from tbk import grp
 from tbk import rep as rp
@@ -49,10 +48,11 @@ def test_matrix_closure_rejects_singular():
         rp.matrix_closure([CycloMatrix([[1, 0], [0, 0]])])
 
 
-def test_matrix_closure_bound():
+def test_matrix_closure_bound(monkeypatch):
     p, q, _ = ex.clock_and_shift(3)
+    monkeypatch.setenv("TBK_MAX_ORDER", "10")
     with pytest.raises(OrderBoundExceededError):
-        rp.matrix_closure([p, q], bound=10)
+        rp.matrix_closure([p, q])
 
 
 def test_odd_p_commutator_is_primitive_scalar():
@@ -67,6 +67,18 @@ def test_odd_p_commutator_is_primitive_scalar():
 def test_fixed_space_identity_is_everything():
     g, rep = rp.matrix_closure([CycloMatrix([[0, 1], [1, 0]])])
     assert rep.fixed_space(0).dim == 2
+
+
+@pytest.mark.parametrize("sign_first", [True, False])
+def test_fixed_spaces_are_kept_per_representation(sign_first):
+    # the sign representation of Z_2 and a trivial one on the same group
+    g, sign = rp.matrix_closure([CycloMatrix([[-1]])])
+    one = CycloMatrix.identity(1, sign.order)
+    trivial = rp.MatrixRep(g, 1, sign.order, (one, one),
+                           sign.generator_indices)
+    reps = [(sign, 0), (trivial, 1)]
+    for rep, dim in reps if sign_first else reversed(reps):
+        assert rep.fixed_space(1).dim == dim
 
 
 def test_fixed_spaces_of_central_elements_p2(bundle_p2):
@@ -131,7 +143,7 @@ def test_contained_and_meets_complement():
     e1 = Subspace.from_vectors(2, [[1, 0]])
     e2 = Subspace.from_vectors(2, [[0, 1]])
     diag = Subspace.from_vectors(2, [[1, 1]])
-    assert rp.contained(e1, e1)
+    assert e1.contains(e1)
     assert rp.meets_complement(diag, [e1, e2])
     assert not rp.meets_complement(e1, [e1, e2])
 
@@ -176,7 +188,7 @@ def test_meets_complement_on_fixed_spaces_of_subgroups_p2(bundle_p2):
     outside = 0
     for _ in range(40):
         pair = [rng.randrange(b.group.order) for _ in range(2)]
-        w = br._pointwise_fixed_space(b.rep, pair)
+        w = rp.joint_fixed_space(b.rep, pair)
         outside += w.key() not in members
         _assert_decides_like_reference(w, model.arrangement, model)
     assert outside  # some V^K is no member and takes the containment path
@@ -337,8 +349,6 @@ def test_joint_fixed_spaces_match_stacked_kernel(bundle_p2, bundle_p2_literal):
         for members in sets:
             want = reference_pointwise_fixed_space(b.rep, members)
             _assert_same_subspace(rp.joint_fixed_space(b.rep, members), want)
-            _assert_same_subspace(br._pointwise_fixed_space(b.rep, members),
-                                  want)
 
 
 def test_non_monomial_s3_closes_and_surveys_as_matrices():
