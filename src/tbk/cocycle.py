@@ -326,7 +326,7 @@ def inflate(c: Cocycle2, extension: CentralExtension | None = None, *,
         raise NotAHomomorphismError("projection does not send 1 to 1")
     # the rows a with pi(ab) = pi(a)pi(b) for all b are closed under
     # products, so if any row fails, one up to the last generator does
-    rows = max(group.generators) + 1
+    rows = max(group.generators, default=0) + 1
     lhs = proj[group.mul_table()[:rows]]
     rhs = c.group.mul_table()[np.ix_(proj[:rows], proj)]
     if not np.array_equal(lhs, rhs):

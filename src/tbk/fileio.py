@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -23,7 +24,7 @@ from . import grp as _grp
 from . import rep as _rep
 from .cocycle import Cocycle2
 from .cyclo import CycloMatrix, CycloNumber, Subspace
-from .errors import MalformedError
+from .errors import InfeasibleError, MalformedError
 from .grp import FiniteGroup
 from .rep import LinearActionModel, MatrixRep
 
@@ -46,25 +47,29 @@ _INT64 = (-2 ** 63, 2 ** 63)
 _INT_TYPES = frozenset((int, bool))
 
 
-def decode_table(rows: list, n: int, pointer: str,
+def decode_table(rows: list | np.ndarray, n: int, pointer: str,
                  bounds: tuple[int, int] = _INT64,
                  message: str = "entry must be a 64-bit integer"
                  ) -> np.ndarray:
     """Decode n rows of n JSON integers in [lo, hi) to an int64 array.
 
-    A C-level pass over each row checks that it is a list of n ints; one
-    np.array call then converts the rows, and the result is taken if it is
-    inside the bounds. Only a table it does not take is scanned entry by
-    entry, in row-major order, for the first defect. Booleans pass as 0
-    and 1.
+    ``rows`` is a list of rows, or the int64 array ``load_json`` read a table
+    into. For a list, a C-level pass over each row checks that it is a list
+    of n ints; one np.array call then converts the rows. The array is taken
+    if it is inside the bounds. Only a table it does not take is scanned
+    entry by entry, in row-major order, for the first defect. Booleans pass
+    as 0 and 1.
     """
     lo, hi = bounds
     arr = None
-    # types are checked before numpy sees the rows: left to choose the
-    # dtype, np.array makes a table holding one string into a unicode
-    # array n*n entries wide, each as long as that string
-    if all(type(row) is list and len(row) == n
-           and _INT_TYPES.issuperset(map(type, row)) for row in rows):
+    if isinstance(rows, np.ndarray):
+        if rows.shape == (n, n):
+            arr = rows
+    elif all(type(row) is list and len(row) == n
+             and _INT_TYPES.issuperset(map(type, row)) for row in rows):
+        # types are checked before numpy sees the rows: left to choose the
+        # dtype, np.array makes a table holding one string into a unicode
+        # array n*n entries wide, each as long as that string
         try:
             arr = np.array(rows, dtype=np.int64)
         except OverflowError:  # an entry outside int64
@@ -72,6 +77,8 @@ def decode_table(rows: list, n: int, pointer: str,
     if arr is not None and (bounds == _INT64
                             or lo <= arr.min() and arr.max() < hi):
         return arr
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     for i, row in enumerate(rows):
         _expect(isinstance(row, list) and len(row) == n, f"{pointer}/{i}",
                 f"row must have {n} entries")
@@ -149,7 +156,8 @@ def decode_group(raw: Any, pointer: str = "",
     _expect(isinstance(raw, dict), pointer, "group must be an object")
     if "cayley" in raw:
         table = raw["cayley"]
-        _expect(isinstance(table, list), f"{pointer}/cayley", "must be an array")
+        _expect(isinstance(table, (list, np.ndarray)), f"{pointer}/cayley",
+                "must be an array")
         gens = raw.get("generators")
         if gens is not None:
             _expect(isinstance(gens, list), f"{pointer}/generators",
@@ -219,7 +227,8 @@ def decode_cocycle(raw: Any, pointer: str = "",
                 "cocycle file needs an inline group or an external one")
         group = decode_group(raw["group"], f"{pointer}/group", base_dir)
     table = raw.get("table")
-    _expect(isinstance(table, list) and len(table) == group.order,
+    _expect(isinstance(table, (list, np.ndarray))
+            and len(table) == group.order,
             f"{pointer}/table", f"table must have {group.order} rows")
     arr = decode_table(table, group.order, f"{pointer}/table", (0, m),
                        f"entry must be an integer in [0, {m})")
@@ -275,8 +284,137 @@ def encode_model(model: LinearActionModel, generator_indices) -> dict:
 # --- top-level helpers --------------------------------------------------------
 
 
+_TABLE_KEYS = frozenset(("cayley", "table"))
+_SCAN = json.JSONDecoder().scan_once  # the C scanner json.loads runs
+_WS = json.decoder.WHITESPACE.match
+_BEFORE_ROWS = re.compile(rb"\[[ \t\n\r]*\[")
+_BETWEEN_ROWS = re.compile(rb"[ \t\n\r]*,[ \t\n\r]*\[")
+_AFTER_ROWS = re.compile(rb"[ \t\n\r]*\]")
+# the int64 array read from the file plus build_from_cayley's int32 copy (a
+# cocycle's copy is smaller)
+_ENTRY_BYTES = 8 + 4
+
+
+class _Irregular(Exception):
+    """The text leaves the table reader's grammar: json.loads reads it."""
+
+
+def _document(text: str, data: bytes) -> dict:
+    """An ASCII JSON object, each table value read by ``_table``."""
+    oversize: list[str] = []
+    i = _WS(text, 0).end()
+    if not text.startswith("{", i):
+        raise _Irregular
+    obj, i = _object(text, data, i, oversize)
+    if _WS(text, i).end() != len(text):
+        raise _Irregular
+    if oversize:
+        raise InfeasibleError(oversize[0])
+    return obj
+
+
+def _object(text: str, data: bytes, i: int, oversize: list
+            ) -> tuple[dict, int]:
+    """The object whose "{" is text[i], and the offset after it."""
+    obj = {}
+    i = _WS(text, i + 1).end()
+    if text.startswith("}", i):
+        return obj, i + 1
+    while True:
+        if not text.startswith('"', i):
+            raise _Irregular
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = _WS(text, i).end()
+        if not text.startswith(":", i):
+            raise _Irregular
+        i = _WS(text, i + 1).end()
+        if text.startswith("{", i):
+            obj[key], i = _object(text, data, i, oversize)
+        elif key in _TABLE_KEYS and text.startswith("[", i):
+            obj[key], i = _table(data, i, oversize)
+        else:
+            obj[key], i = _SCAN(text, i)
+        i = _WS(text, i).end()
+        if text.startswith("}", i):
+            return obj, i + 1
+        if not text.startswith(",", i):
+            raise _Irregular
+        i = _WS(text, i + 1).end()
+
+
+def _table(data: bytes, i: int, oversize: list
+           ) -> tuple[np.ndarray | None, int]:
+    """The n x n table whose "[" is data[i], and the offset after it.
+
+    Accepts exactly the JSON arrays of n arrays of n canonical integers in
+    [0, 10**18), checked by C-level passes over the bytes:
+    - the delimiters, with digits and whitespace deleted, are n rows of n
+      entries, and nothing else is left (so no sign, dot or letter);
+    - only whitespace and one comma stand between rows, so no digit is
+      left outside a row when the brackets are deleted;
+    - the digits form exactly n*n runs, and np.fromstring, which rejects a
+      field holding two runs, reads one value per comma-separated field;
+    - the digits number exactly the values' canonical decimal lengths, so
+      no field is blank (which np.fromstring reads as 0) and none has a
+      leading zero.
+    A table too large for memory is noted in ``oversize`` before any array
+    of its size is made.
+    """
+    stop = len(data)
+    for c in (b'"', b"}"):
+        k = data.find(c, i, stop)
+        if k >= 0:
+            stop = k
+    end = data.rfind(b"]", i, stop) + 1
+    region = data[i:end]
+    skeleton = region.translate(None, b"0123456789 \t\n\r")
+    n = skeleton.find(b"]") - 1  # the first row's entries
+    if n < 1 or len(skeleton) != (n + 1) ** 2 or skeleton != (
+            b"[" + b",".join([b"[" + b"," * (n - 1) + b"]"] * n) + b"]"):
+        raise _Irregular
+    need, budget = n * n * _ENTRY_BYTES, _grp._memory_budget()
+    if need > budget:
+        oversize.append(f"a {n} x {n} table would take {need} bytes, more "
+                        f"than the {budget} bytes of memory available")
+        return None, end
+    pos, gap = 0, _BEFORE_ROWS
+    for _ in range(n):
+        m = gap.match(region, pos)
+        if m is None:
+            raise _Irregular
+        pos, gap = region.index(b"]", m.end()) + 1, _BETWEEN_ROWS
+    if not _AFTER_ROWS.fullmatch(region, pos):
+        raise _Irregular
+    fields = region.replace(b"[", b"").replace(b"]", b"")
+    del region
+    # fields hold digits, commas and whitespace: only digits are >= "0"
+    digit = np.frombuffer(fields, dtype=np.uint8) >= 48
+    digits = np.count_nonzero(digit)
+    # a run starts at fields[0] if it is a digit, and at each digit after a
+    # non-digit
+    runs = np.count_nonzero(digit[1:] > digit[:-1]) + fields[:1].isdigit()
+    if runs != n * n:
+        raise _Irregular
+    del digit
+    values = np.fromstring(fields, dtype=np.int64, sep=",")
+    top = int(values.max())
+    if top >= 10 ** 18 or digits != values.size + sum(
+            int(np.count_nonzero(values >= 10 ** k))
+            for k in range(1, len(str(top)))):
+        raise _Irregular
+    return values.reshape(n, n), end
+
+
 def load_json(path: str, digest=None) -> Any:
-    """Parse a UTF-8 JSON file, read once; ``digest.update`` sees its bytes."""
+    """Parse a UTF-8 JSON file, read once; ``digest.update`` sees its bytes.
+
+    In an ASCII file, the value of each "cayley" or "table" key that is an
+    n x n table of non-negative integers is read straight from the bytes
+    into one int64 array (see ``_table``); the rest goes through json's C
+    scanner. Any other file, and any file the table reader does not take
+    whole, goes through ``json.loads``, so the accepted language, the values
+    (up to list or array) and the error messages are json's own.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -288,7 +426,12 @@ def load_json(path: str, digest=None) -> Any:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         _fail("", f"{path} is not UTF-8: {exc}")
-    del data  # not held through the parse, where the process peaks
+    if len(text) == len(data):  # ASCII: str and bytes offsets agree
+        try:
+            return _document(text, data)
+        except (_Irregular, ValueError, StopIteration, RecursionError):
+            pass
+    del data  # not held through json.loads, where the process peaks
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -531,3 +531,50 @@ def test_readme_synopsis_matches_the_parser():
             for flag in re.findall(r"--[a-z][a-z0-9-]*", entry):
                 assert flag in options, f"{path} has no {flag}"
     assert all(any(e.startswith(path) for path in commands) for e in entries)
+
+
+def test_cli_negative_cocycle_entry_keeps_its_message(workdir, capsys):
+    raw = json.loads((workdir / "pairing.json").read_text())
+    raw["table"][1][1] = -1
+    path = workdir / "negative.json"
+    for text in (json.dumps(raw), fileio.dump_json(raw)):
+        path.write_text(text)
+        code, payload, err = _run(["cocycle", "check", "--cocycle", str(path)],
+                                  capsys)
+        assert (code, payload, err) == (
+            2, {}, "error: entry must be an integer in [0, 2) at /table/1/1\n")
+
+
+def test_cli_table_too_large_for_memory_exits_4(workdir, capsys, monkeypatch):
+    # a 4 x 4 table read from the file takes 16 * (8 + 4) bytes
+    monkeypatch.setattr(grp, "_memory_budget", lambda: 191)
+    for argv in (["group", "info", "--in", str(workdir / "klein.json")],
+                 ["cocycle", "check", "--cocycle",
+                  str(workdir / "pairing.json")]):
+        code, payload, err = _run(argv, capsys)
+        assert (code, payload, err) == (
+            4, {}, "error: a 4 x 4 table would take 192 bytes, more than "
+                   "the 191 bytes of memory available\n")
+    # a file that is not JSON keeps its exit code and message
+    bad = workdir / "trailing.json"
+    bad.write_text((workdir / "klein.json").read_text() + "x")
+    code, payload, err = _run(["group", "info", "--in", str(bad)], capsys)
+    assert code == 2 and payload == {}
+    assert err.startswith(f"error: invalid JSON in {bad}: Extra data")
+    monkeypatch.setattr(grp, "_memory_budget", lambda: 192)
+    code, payload, _ = _run(["group", "info", "--in",
+                             str(workdir / "klein.json")], capsys)
+    assert code == 0 and payload["results"]["order"] == 4
+
+
+def test_cli_inflate_on_the_one_element_group(tmp_path, capsys):
+    (tmp_path / "g1.json").write_text(json.dumps({"order": 1, "cayley": [[0]]}))
+    (tmp_path / "c1.json").write_text(json.dumps(
+        {"modulus": 2, "group": "g1.json", "table": [[0]]}))
+    code, payload, err = _run(
+        ["cocycle", "inflate", "--cocycle", str(tmp_path / "c1.json"),
+         "--group", str(tmp_path / "g1.json"), "--central", ""], capsys)
+    assert code == 0
+    assert payload["results"] == {
+        "total_order": 1, "quotient_order": 1,
+        "cocycle": {"modulus": 2, "table": [[0]]}}
