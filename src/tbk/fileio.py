@@ -313,7 +313,7 @@ def _document(text: str, data: bytes) -> dict:
     return obj
 
 
-def _object(text: str, data: bytes, i: int, oversize: list
+def _object(text: str, data: bytes, i: int, oversize: list[str]
             ) -> tuple[dict, int]:
     """The object whose "{" is text[i], and the offset after it."""
     obj = {}
@@ -342,7 +342,7 @@ def _object(text: str, data: bytes, i: int, oversize: list
         i = _WS(text, i + 1).end()
 
 
-def _table(data: bytes, i: int, oversize: list
+def _table(data: bytes, i: int, oversize: list[str]
            ) -> tuple[np.ndarray | None, int]:
     """The n x n table whose "[" is data[i], and the offset after it.
 
