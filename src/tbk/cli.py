@@ -45,6 +45,21 @@ class _Run:
         self.inputs[name] = f"sha256:{digest.hexdigest()[:16]}"
         return raw
 
+    def loader(self, name: str) -> fileio.Loader:
+        """A fileio ``load`` for the files that the file ``name`` references.
+
+        Each is recorded under ``name`` plus the reference's JSON pointer,
+        "/" read as ".": a cocycle file's group file is "cocycle.group". A
+        group file may itself be a reference to one, recorded one ".group"
+        further on.
+        """
+        def load(path: str, pointer: str):
+            key = name + pointer.replace("/", ".")
+            while key in self.inputs:
+                key += ".group"
+            return self.load(key, path)
+        return load
+
     def mark(self, label: str):
         self.timings[label] = round(time.perf_counter() - self._t0, 6)
 
@@ -71,17 +86,20 @@ def _emit(run: _Run, args, summary: str) -> int:
 
 def _load_group(path: str, run: _Run, name: str = "group") -> _grp.FiniteGroup:
     return fileio.decode_group(run.load(name, path),
-                               base_dir=os.path.dirname(path) or ".")
+                               base_dir=os.path.dirname(path) or ".",
+                               load=run.loader(name))
 
 
 def _load_cocycle(path: str, run: _Run, name: str = "cocycle") -> _cx.Cocycle2:
     return fileio.decode_cocycle(run.load(name, path),
-                                 base_dir=os.path.dirname(path) or ".")
+                                 base_dir=os.path.dirname(path) or ".",
+                                 load=run.loader(name))
 
 
 def _load_model(path: str, run: _Run):
     return fileio.decode_model(run.load("model", path),
-                               base_dir=os.path.dirname(path) or ".")
+                               base_dir=os.path.dirname(path) or ".",
+                               load=run.loader("model"))
 
 
 def _match_group(c: _cx.Cocycle2, group: _grp.FiniteGroup) -> _cx.Cocycle2:

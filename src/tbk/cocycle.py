@@ -38,6 +38,8 @@ from .errors import (
 from .grp import AbelianStructure, CentralExtension, Character, FiniteGroup, Subgroup
 
 H2_DEFAULT_CAP = 32
+# entries of a cocycle-identity row computed at once (see _failing_pair)
+ROW_BLOCK_ENTRIES = 1 << 16
 
 
 def _dtype_for(modulus: int):
@@ -142,31 +144,77 @@ class Cochain1:
         return int(self.table[g])
 
 
+def _failing_pair(t: np.ndarray, mul: np.ndarray, m: int, g: int
+                  ) -> tuple[int, int] | None:
+    """The first (h, k) in row-major order with dc(g, h, k) != 0, or None.
+
+    c(g, h) + c(gh, k) and c(h, k) + c(g, hk) each lie in [0, 2(m - 1)], so
+    their difference is a multiple of m exactly when it is 0, m or -m. The
+    row is computed in blocks of ``_block_rows(n)`` values of h.
+    """
+    n = t.shape[0]
+    tg, mg = t[g], mul[g]
+    step = _block_rows(n)
+    for lo in range(0, n, step):
+        hi = lo + step
+        d = t.take(mg[lo:hi], axis=0)
+        d += tg[lo:hi, None]
+        d -= t[lo:hi]
+        d -= tg.take(mul[lo:hi])
+        np.abs(d, out=d)
+        bad = d != 0
+        bad &= d != m
+        if bad.any():
+            h, k = divmod(int(bad.argmax()), n)
+            return lo + h, k
+    return None
+
+
+def _block_rows(n: int) -> int:
+    return min(n, max(1, ROW_BLOCK_ENTRIES // n))
+
+
 def is_cocycle(c: Cocycle2) -> tuple[bool, tuple[int, int, int] | None]:
     """Exact check of the cocycle identity; returns the first failing triple.
 
     The identity dc(g, h, k) = 0 says the twisted monomials zeta^a u_g
     multiply associatively, and by Light's test the elements g with
     (u_g u_h) u_k = u_g (u_h u_k) for all h, k form a submagma. So when the
-    identity holds for every generator g it holds everywhere, and a failing
-    table fails on some g <= max(generators): sweeping the first argument
-    up to there finds the lexicographically first failing triple (g, h, k)
-    of the full n^3 sweep. Each row runs in the narrowest integer dtype the
-    modulus allows, since the n^2 gathers are memory-bound.
+    identity holds on the row of every generator it holds everywhere, and
+    only the generator rows are computed (row 0 of a normalized table is
+    zero). If generator s is the first to fail, the lexicographically first
+    failing triple (g, h, k) of the full n^3 sweep has g <= s, and the rows
+    1..s are swept in order to find it.
+
+    The rows run in the narrowest integer dtype their sums allow, since the
+    gathers are memory-bound. The table's copy in that dtype and a block's
+    temporaries are predicted first: past ``grp._memory_budget()`` the check
+    raises ``InfeasibleError`` before any of them is allocated.
     """
-    m = c.modulus
+    m, n = c.modulus, c.group.order
     mul = c.group.mul_table()
     if 4 * (m - 1) <= 127:
-        t = c.table.astype(np.int8)
+        dt = np.dtype(np.int8)
     elif 4 * (m - 1) <= 32_767:
-        t = c.table.astype(np.int16)
+        dt = np.dtype(np.int16)
     else:
-        t = c.table.astype(np.int64)
-    for g in range(max(c.group.generators, default=0) + 1):
-        diff = (t[g][:, None] + t[mul[g]] - t - t[g][mul]) % m
-        if diff.any():
-            h, k = map(int, np.argwhere(diff)[0])
-            return False, (g, h, k)
+        dt = np.dtype(np.int64)
+    # the table's copy (none if its dtype is dt already); a block's two
+    # gathers, the intp copy of the indices take makes and two bool masks
+    copy = 0 if c.table.dtype == dt else dt.itemsize
+    need = n * n * copy + _block_rows(n) * n * (2 * dt.itemsize + 10)
+    budget = _grp._memory_budget()
+    if need > budget:
+        raise InfeasibleError(
+            f"the cocycle check on order {n} would take {need} bytes, more "
+            f"than the {budget} bytes of memory available")
+    t = c.table.astype(dt, copy=False)
+    for s in sorted(set(c.group.generators) - {0}):
+        if _failing_pair(t, mul, m, s) is not None:
+            for g in range(1, s + 1):
+                pair = _failing_pair(t, mul, m, g)
+                if pair is not None:
+                    return False, (g, *pair)
     return True, None
 
 

@@ -7,7 +7,9 @@ order n is an array of n "num/den" strings giving the coefficients of
 
 Cocycle and model files may reference sibling files ("group": "g.json",
 "generators_file": "gens.json"); references resolve relative to the file
-that contains them.
+that contains them. Each referenced file is read through the decoder's
+``load(path, pointer)``, with the JSON pointer of the reference, so a caller
+can see every file parsed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import os
 import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -147,12 +149,19 @@ def encode_group(g: FiniteGroup) -> dict:
     }
 
 
-def decode_group(raw: Any, pointer: str = "",
-                 base_dir: str = ".") -> FiniteGroup:
+Loader = Callable[[str, str], Any]  # (path, JSON pointer of the reference)
+
+
+def _load_referenced(path: str, pointer: str) -> Any:
+    return load_json(path)
+
+
+def decode_group(raw: Any, pointer: str = "", base_dir: str = ".",
+                 load: Loader = _load_referenced) -> FiniteGroup:
     if isinstance(raw, str):
         path = os.path.join(base_dir, raw)
-        return decode_group(load_json(path), pointer,
-                            base_dir=os.path.dirname(path) or ".")
+        return decode_group(load(path, pointer), pointer,
+                            os.path.dirname(path) or ".", load)
     _expect(isinstance(raw, dict), pointer, "group must be an object")
     if "cayley" in raw:
         table = raw["cayley"]
@@ -216,7 +225,8 @@ def encode_cocycle(c: Cocycle2, inline_group: bool = True) -> dict:
 
 def decode_cocycle(raw: Any, pointer: str = "",
                    group: FiniteGroup | None = None,
-                   base_dir: str = ".") -> Cocycle2:
+                   base_dir: str = ".",
+                   load: Loader = _load_referenced) -> Cocycle2:
     _expect(isinstance(raw, dict), pointer, "cocycle must be an object")
     _expect("modulus" in raw, f"{pointer}/modulus", "missing modulus")
     m = raw["modulus"]
@@ -225,7 +235,8 @@ def decode_cocycle(raw: Any, pointer: str = "",
     if group is None:
         _expect("group" in raw, f"{pointer}/group",
                 "cocycle file needs an inline group or an external one")
-        group = decode_group(raw["group"], f"{pointer}/group", base_dir)
+        group = decode_group(raw["group"], f"{pointer}/group", base_dir,
+                             load)
     table = raw.get("table")
     _expect(isinstance(table, (list, np.ndarray))
             and len(table) == group.order,
@@ -238,15 +249,16 @@ def decode_cocycle(raw: Any, pointer: str = "",
 # --- models -----------------------------------------------------------------
 
 
-def decode_model(raw: Any, pointer: str = "", base_dir: str = "."
+def decode_model(raw: Any, pointer: str = "", base_dir: str = ".",
+                 load: Loader = _load_referenced
                  ) -> tuple[FiniteGroup, MatrixRep, LinearActionModel]:
     _expect(isinstance(raw, dict), pointer, "model must be an object")
     if "generators" in raw:
         group, rep = decode_generator_file(raw, pointer)
     elif "generators_file" in raw:
-        path = os.path.join(base_dir, raw["generators_file"])
-        group, rep = decode_generator_file(load_json(path),
-                                           f"{pointer}/generators_file")
+        at = f"{pointer}/generators_file"
+        group, rep = decode_generator_file(
+            load(os.path.join(base_dir, raw["generators_file"]), at), at)
     else:
         _fail(pointer, "model needs 'generators' or 'generators_file'")
     if "arrangement" in raw:

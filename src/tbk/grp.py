@@ -307,8 +307,10 @@ def build_from_cayley(table, labels: Sequence[str] | None = None,
     if ((mul < 0) | (mul >= n)).any():
         raise NotAGroupError("table entry out of range")
     mul = mul.astype(np.int32)
-    ident = [e for e in range(n)
-             if (mul[e] == np.arange(n)).all() and (mul[:, e] == np.arange(n)).all()]
+    # every identity is idempotent: only the e with e * e = e are candidates
+    ar = np.arange(n)
+    ident = [int(e) for e in np.flatnonzero(np.diagonal(mul) == ar)
+             if (mul[e] == ar).all() and (mul[:, e] == ar).all()]
     if len(ident) != 1:
         raise NotAGroupError(f"expected exactly one identity, found {len(ident)}")
     e = ident[0]

@@ -578,3 +578,78 @@ def test_cli_inflate_on_the_one_element_group(tmp_path, capsys):
     assert payload["results"] == {
         "total_order": 1, "quotient_order": 1,
         "cocycle": {"modulus": 2, "table": [[0]]}}
+
+
+def test_cli_cocycle_check_too_large_for_memory_exits_4(
+        tmp_path, capsys, monkeypatch):
+    raw = fileio.encode_cocycle(cx.Cocycle2.zero(klein(), 9000))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(raw))
+    # reading takes 192 bytes a table; the check an int64 copy of the int16
+    # table, two int64 gathers, take's intp indices and two masks: 16 * 34
+    monkeypatch.setattr(grp, "_memory_budget", lambda: 543)
+    code, payload, err = _run(["cocycle", "check", "--cocycle", str(path)],
+                              capsys)
+    assert (code, payload, err) == (
+        4, {}, "error: the cocycle check on order 4 would take 544 bytes, "
+               "more than the 543 bytes of memory available\n")
+    monkeypatch.setattr(grp, "_memory_budget", lambda: 544)
+    code, payload, _ = _run(["cocycle", "check", "--cocycle", str(path)],
+                            capsys)
+    assert code == 0 and payload["results"]["is_cocycle"] is True
+
+
+def test_cli_order_729_witness_and_every_input_hashed(tmp_path, capsys):
+    from tests.test_cocycle import (_first_failing_triple_by_sweep,
+                                    _row_defect, _valid_table, spread_product)
+
+    g, coords = spread_product((9, 9, 3, 3), {})
+    assert g.order == 729 and g.generators == (1, 3, 9, 27)
+    group_file = tmp_path / "g729.json"
+    group_file.write_text(json.dumps(fileio.encode_group(g)))
+    # the defect fails on the rows with a nonzero last coordinate: the
+    # generator 27 and nothing below it
+    tab = (_valid_table(g, coords, 3, np.random.default_rng(5))
+           + _row_defect(coords[:, 3])) % 3
+    bad = tmp_path / "bad729.json"
+    bad.write_text(json.dumps(
+        {"modulus": 3, "group": "g729.json", "table": tab.tolist()}))
+    expected = _first_failing_triple_by_sweep(cx.Cocycle2(g, 3, tab))
+    assert expected[1][0] == 27
+    argv = ["cocycle", "check", "--cocycle", str(bad)]
+    code, payload, _ = _run(argv, capsys)
+    assert code == 0
+    assert payload["results"] == {"is_cocycle": False,
+                                  "witness_triple": list(expected[1])}
+    assert sorted(payload["inputs"]) == ["cocycle", "cocycle.group"]
+    # the same group written again with other bytes: only its hash moves
+    group_file.write_text(fileio.dump_json(fileio.encode_group(g)))
+    code, again, _ = _run(argv, capsys)
+    assert code == 0 and again["results"] == payload["results"]
+    assert again["inputs"]["cocycle"] == payload["inputs"]["cocycle"]
+    assert again["inputs"]["cocycle.group"] != payload["inputs"]["cocycle.group"]
+
+
+def test_cli_referenced_files_are_hashed_under_their_pointers(
+        workdir, capsys):
+    (workdir / "ref.json").write_text(json.dumps("klein.json"))
+    code, payload, _ = _run(["group", "info", "--in",
+                             str(workdir / "ref.json")], capsys)
+    assert code == 0
+    assert sorted(payload["inputs"]) == ["group", "group.group"]
+    model = json.loads((workdir / "model.json").read_text())
+    gens = {k: model.pop(k) for k in ("degree", "cyclotomic_order",
+                                      "generators")}
+    (workdir / "gens.json").write_text(json.dumps(gens))
+    model["generators_file"] = "gens.json"
+    (workdir / "model2.json").write_text(json.dumps(model))
+    (workdir / "pairing2.json").write_text(json.dumps(
+        {**json.loads((workdir / "pairing.json").read_text()),
+         "group": "ref.json"}))
+    code, payload, _ = _run(
+        ["orbifold", "dims", "--cocycle", str(workdir / "pairing2.json"),
+         "--model", str(workdir / "model2.json")], capsys)
+    assert code == 0
+    assert sorted(payload["inputs"]) == [
+        "cocycle", "cocycle.group", "cocycle.group.group", "model",
+        "model.generators_file"]

@@ -115,6 +115,103 @@ def test_is_cocycle_matches_full_sweep_on_corruptions():
             assert cx.is_cocycle(broken) == _first_failing_triple_by_sweep(broken)
 
 
+def spread_product(orders, placed) -> tuple[grp.FiniteGroup, np.ndarray]:
+    """Z_orders[0] x ... with generators labelled 1, 3, 9, 27, ...
+
+    The unit vectors get the labels 3^i, ``placed`` maps further labels to
+    coordinate tuples, and the other elements take the free labels in
+    mixed-radix order. Returns the group and the coordinates of each label.
+    """
+    r = len(orders)
+    fixed = {0: (0,) * r}
+    fixed.update({3 ** i: tuple(int(i == j) for j in range(r))
+                  for i in range(r)})
+    fixed.update(placed)
+    rest = iter(v for v in itertools.product(*map(range, reversed(orders)))
+                if v[::-1] not in fixed.values())
+    coords = np.array([fixed[x] if x in fixed else next(rest)[::-1]
+                       for x in range(int(np.prod(orders)))])
+    radix = np.cumprod([1] + list(orders[:-1]))
+    label_of = np.empty(len(coords), dtype=np.int64)
+    label_of[coords @ radix] = np.arange(len(coords))
+    sums = (coords[:, None, :] + coords[None, :, :]) % np.array(orders)
+    g = grp.build_from_cayley(label_of[sums @ radix],
+                              generators=[3 ** i for i in range(r)])
+    return g, coords
+
+
+def _row_defect(cu: np.ndarray) -> np.ndarray:
+    """F(cu[g], cu[h]) for one Z_3 coordinate cu, where F(x, y) is 1 at
+    (1, 1) and 0 elsewhere. Since dF(x, ., .) != 0 exactly when x != 0, a
+    table plus this defect fails on the rows g with cu[g] != 0 alone."""
+    return ((cu[:, None] == 1) & (cu[None, :] == 1)).astype(np.int64)
+
+
+def _valid_table(g: grp.FiniteGroup, coords: np.ndarray, m: int,
+                 rng) -> np.ndarray:
+    """A coboundary plus, when 3 | m, the pairing x1 * y2 scaled into Z_m."""
+    n = g.order
+    lam = rng.integers(0, m, size=n)
+    lam[0] = 0
+    mul = g.mul_table().astype(np.int64)
+    tab = lam[:, None] + lam[None, :] - lam[mul]
+    if m % 3 == 0:
+        tab += (m // 3) * (coords[:, None, 0] % 3) * (coords[None, :, 1] % 3)
+    return tab % m
+
+
+# rows in int8, int16, int64; at 127 and 32767 a row's sums pass the range
+# of the table's own dtype
+@pytest.mark.parametrize("m", [3, 64, 127, 9000, 32767])
+def test_is_cocycle_first_triple_with_spread_out_generators(m):
+    # (1, 0, 1, 0) = e1 + e3 takes the label 2, below the generator 9 = e3
+    g, coords = spread_product((3, 3, 3, 3), {2: (1, 0, 1, 0)})
+    assert g.generators == (1, 3, 9, 27)
+    rng = np.random.default_rng(m)
+    tab = _valid_table(g, coords, m, rng)
+    assert cx.is_cocycle(cx.Cocycle2(g, m, tab)) == (True, None)
+    # along e3 the rows 2 and 9 fail and the generators 1, 3, 27 pass: the
+    # first failing row is the non-generator 2
+    broken = cx.Cocycle2(g, m, (tab + _row_defect(coords[:, 2])) % m)
+    expected = _first_failing_triple_by_sweep(broken)
+    assert expected[1][0] == 2
+    assert cx.is_cocycle(broken) == expected
+    # along e4 only the generator 27 fails, and every label below it lies in
+    # the subgroup the other generators make
+    broken = cx.Cocycle2(g, m, (tab + _row_defect(coords[:, 3])) % m)
+    expected = _first_failing_triple_by_sweep(broken)
+    assert expected[1][0] == 27
+    assert cx.is_cocycle(broken) == expected
+    # single cells, which fail on the generator 1 or before it
+    for _ in range(10):
+        bad = tab.copy()
+        h, k = rng.integers(1, g.order, size=2)
+        bad[h, k] = (bad[h, k] + rng.integers(1, m)) % m
+        broken = cx.Cocycle2(g, m, bad)
+        assert cx.is_cocycle(broken) == _first_failing_triple_by_sweep(broken)
+
+
+def test_is_cocycle_predicts_its_memory(monkeypatch):
+    g, coords = spread_product((3, 3), {})
+    c = cx.Cocycle2(g, 9000, _valid_table(g, coords, 9000,
+                                          np.random.default_rng(0)))
+    # 81 entries, one block: an int64 copy of the int16 table (8 bytes an
+    # entry), two int64 gathers, take's intp indices and two masks (26)
+    monkeypatch.setattr(grp, "_memory_budget", lambda: 81 * 34 - 1)
+    with pytest.raises(InfeasibleError, match="would take 2754 bytes"):
+        cx.is_cocycle(c)
+    monkeypatch.setattr(grp, "_memory_budget", lambda: 81 * 34)
+    assert cx.is_cocycle(c) == (True, None)
+    # blocks of rows bound the temporaries: here 3 rows of 9 at a time
+    monkeypatch.setattr(cx, "ROW_BLOCK_ENTRIES", 27)
+    monkeypatch.setattr(grp, "_memory_budget", lambda: 81 * 8 + 27 * 26)
+    assert cx.is_cocycle(c) == (True, None)
+    tab = c.table.astype(np.int64)
+    tab[7, 5] = (tab[7, 5] + 1) % 9000
+    broken = cx.Cocycle2(g, 9000, tab)
+    assert cx.is_cocycle(broken) == _first_failing_triple_by_sweep(broken)
+
+
 def test_coboundary_of_formula():
     z4 = grp.cyclic(4)
     lam = cx.Cochain1(z4, 4, [0, 1, 2, 3])  # the discrete log itself

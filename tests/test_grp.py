@@ -93,6 +93,22 @@ def test_nonassociative_latin_table_above_order_256_rejected():
     assert table[table[x, y], z] != table[x, table[y, z]]
 
 
+def test_identity_search_among_idempotents():
+    # x * y = x: every element is idempotent and none is an identity
+    left_zero = [[a] * 4 for a in range(4)]
+    with pytest.raises(NotAGroupError,
+                       match="expected exactly one identity, found 0"):
+        grp.build_from_cayley(left_zero)
+    # Z_3 with the labels 0 and 2 swapped: the one idempotent, 2, is the
+    # identity and moves to index 0
+    table = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    swap = {0: 2, 1: 1, 2: 0}
+    moved = [[swap[table[swap[a]][swap[b]]] for b in range(3)]
+             for a in range(3)]
+    g = grp.build_from_cayley(moved)
+    assert g.mul(0, 1) == 1 and g.mul(1, 1) == 2
+
+
 def test_identity_relocation():
     # shift the identity away from index 0 and expect relocation
     base = [[(a + b) % 3 for b in range(3)] for a in range(3)]
