@@ -157,11 +157,23 @@ def _load_referenced(path: str, pointer: str) -> Any:
 
 
 def decode_group(raw: Any, pointer: str = "", base_dir: str = ".",
-                 load: Loader = _load_referenced) -> FiniteGroup:
+                 load: Loader = _load_referenced,
+                 reading: frozenset[str] = frozenset()) -> FiniteGroup:
+    """A group object, or a file name that leads to one.
+
+    ``reading`` holds the real paths of the group files this chain of
+    references is already reading: a file that refers back to one of them
+    is malformed, and not read again.
+    """
     if isinstance(raw, str):
         path = os.path.join(base_dir, raw)
+        real = os.path.realpath(path)
+        _expect(real not in reading, pointer,
+                f"group file {path} is reached again: its references "
+                "form a cycle")
         return decode_group(load(path, pointer), pointer,
-                            os.path.dirname(path) or ".", load)
+                            os.path.dirname(path) or ".", load,
+                            reading | {real})
     _expect(isinstance(raw, dict), pointer, "group must be an object")
     if "cayley" in raw:
         table = raw["cayley"]
@@ -302,8 +314,14 @@ _WS = json.decoder.WHITESPACE.match
 _BEFORE_ROWS = re.compile(rb"\[[ \t\n\r]*\[")
 _BETWEEN_ROWS = re.compile(rb"[ \t\n\r]*,[ \t\n\r]*\[")
 _AFTER_ROWS = re.compile(rb"[ \t\n\r]*\]")
+_NOT_SKELETON = b"0123456789 \t\n\r"
+# a table is read in blocks: its skeleton in slices of this many bytes of
+# the file, its values in whole rows whose buffers (the text three times
+# over, or the text and its int64 values) reach about this many bytes
+TABLE_BLOCK_BYTES = 1 << 20
 # the int64 array read from the file plus build_from_cayley's int32 copy (a
-# cocycle's copy is smaller)
+# cocycle's copy is smaller); the reader's block buffers, under two
+# TABLE_BLOCK_BYTES, and the file's bytes and str are not counted
 _ENTRY_BYTES = 8 + 4
 
 
@@ -359,73 +377,129 @@ def _table(data: bytes, i: int, oversize: list[str]
     """The n x n table whose "[" is data[i], and the offset after it.
 
     Accepts exactly the JSON arrays of n arrays of n canonical integers in
-    [0, 10**18), checked by C-level passes over the bytes:
+    [0, 10**18), checked by C-level passes over the bytes, in this order:
     - the delimiters, with digits and whitespace deleted, are n rows of n
-      entries, and nothing else is left (so no sign, dot or letter);
+      entries, and nothing else is left (so no sign, dot or letter): see
+      ``_skeleton``;
+    - a table too large for memory is noted in ``oversize`` and skipped,
+      before any array of its size is made;
     - only whitespace and one comma stand between rows, so no digit is
-      left outside a row when the brackets are deleted;
-    - the digits form exactly n*n runs, and np.fromstring, which rejects a
-      field holding two runs, reads one value per comma-separated field;
-    - the digits number exactly the values' canonical decimal lengths, so
-      no field is blank (which np.fromstring reads as 0) and none has a
-      leading zero.
-    A table too large for memory is noted in ``oversize`` before any array
-    of its size is made.
+      left outside a row when the brackets are deleted. These row gaps are
+      matched in place, and the row ends they yield bound the row blocks;
+    - each row block holds one canonical integer per entry: see
+      ``_entries``.
+    The table is read straight from ``data`` in blocks of about
+    ``TABLE_BLOCK_BYTES``. The n x n int64 result is allocated once and
+    filled block by block; no copy of the whole table's text, and no mask
+    or buffer of its size, is made.
     """
     stop = len(data)
     for c in (b'"', b"}"):
         k = data.find(c, i, stop)
         if k >= 0:
             stop = k
+    first = data.find(b"]", i, stop)
+    if first < 0:
+        raise _Irregular
     end = data.rfind(b"]", i, stop) + 1
-    region = data[i:end]
-    skeleton = region.translate(None, b"0123456789 \t\n\r")
-    n = skeleton.find(b"]") - 1  # the first row's entries
-    if n < 1 or len(skeleton) != (n + 1) ** 2 or skeleton != (
-            b"[" + b",".join([b"[" + b"," * (n - 1) + b"]"] * n) + b"]"):
+    n = data.count(b",", i, first) + 1  # the first row's entries
+    # between the outer brackets the skeleton is n * (n + 2) - 1 bytes: a
+    # first row longer than the text allows is declined before its pattern
+    # is built
+    if n * (n + 2) - 1 > end - i - 2 or not _skeleton(data, i + 1, end - 1,
+                                                       n):
         raise _Irregular
     need, budget = n * n * _ENTRY_BYTES, _grp._memory_budget()
     if need > budget:
         oversize.append(f"a {n} x {n} table would take {need} bytes, more "
                         f"than the {budget} bytes of memory available")
         return None, end
-    pos, gap = 0, _BEFORE_ROWS
-    for _ in range(n):
-        m = gap.match(region, pos)
+    out = np.empty((n, n), dtype=np.int64)
+    pos, gap, lo = i, _BEFORE_ROWS, 0
+    for r in range(n):
+        m = gap.match(data, pos, end)
         if m is None:
             raise _Irregular
-        pos, gap = region.index(b"]", m.end()) + 1, _BETWEEN_ROWS
-    if not _AFTER_ROWS.fullmatch(region, pos):
+        if r == lo:
+            start = m.end()
+        pos, gap = data.index(b"]", m.end(), end) + 1, _BETWEEN_ROWS
+        span = pos - 1 - start
+        if r + 1 == n or max(3 * span, span + 8 * n * (r + 1 - lo)
+                             ) >= TABLE_BLOCK_BYTES:
+            out[lo:r + 1] = _entries(data, start, pos - 1,
+                                     (r + 1 - lo) * n).reshape(-1, n)
+            lo = r + 1
+    if not _AFTER_ROWS.fullmatch(data, pos, end):
         raise _Irregular
-    fields = region.replace(b"[", b"").replace(b"]", b"")
-    del region
+    return out, end
+
+
+def _skeleton(data: bytes, lo: int, hi: int, n: int) -> bool:
+    """Whether data[lo:hi], with digits and whitespace deleted, is n rows of
+    "[", n - 1 commas and "]", each followed by a comma but the last.
+
+    The text is taken in slices of ``TABLE_BLOCK_BYTES``, each compared with
+    the same stretch of the rows' repeating pattern, so no buffer of the
+    whole skeleton is made.
+    """
+    row = b"[" + b"," * (n - 1) + b"],"
+    done = 0
+    for a in range(lo, hi, TABLE_BLOCK_BYTES):
+        piece = data[a:min(a + TABLE_BLOCK_BYTES, hi)].translate(
+            None, _NOT_SKELETON)
+        k = done % len(row)
+        if piece != (row * ((k + len(piece)) // len(row) + 1))[
+                k:k + len(piece)]:
+            return False
+        done += len(piece)
+    return done == n * len(row) - 1
+
+
+def _entries(data: bytes, start: int, stop: int, count: int) -> np.ndarray:
+    """The values of the row block data[start:stop], from after its first
+    "[" to before its last "]", whose skeleton and row gaps ``_table`` has
+    checked.
+
+    With the brackets deleted, the block is count comma-separated fields of
+    digits and whitespace. Each field is one canonical integer below 10**18
+    iff the digits form count runs, np.fromstring (which rejects a field
+    holding two runs) reads count values, and the digits number exactly
+    the values' canonical decimal lengths (so no field is blank, which
+    np.fromstring reads as 0, and none has a leading zero).
+    """
+    fields = data[start:stop].translate(None, b"[]")
     # fields hold digits, commas and whitespace: only digits are >= "0"
     digit = np.frombuffer(fields, dtype=np.uint8) >= 48
     digits = np.count_nonzero(digit)
     # a run starts at fields[0] if it is a digit, and at each digit after a
     # non-digit
     runs = np.count_nonzero(digit[1:] > digit[:-1]) + fields[:1].isdigit()
-    if runs != n * n:
-        raise _Irregular
     del digit
+    if runs != count:
+        raise _Irregular
     values = np.fromstring(fields, dtype=np.int64, sep=",")
+    if values.size != count:
+        raise _Irregular
     top = int(values.max())
-    if top >= 10 ** 18 or digits != values.size + sum(
+    if top >= 10 ** 18 or digits != count + sum(
             int(np.count_nonzero(values >= 10 ** k))
             for k in range(1, len(str(top)))):
         raise _Irregular
-    return values.reshape(n, n), end
+    return values
 
 
 def load_json(path: str, digest=None) -> Any:
     """Parse a UTF-8 JSON file, read once; ``digest.update`` sees its bytes.
 
     In an ASCII file, the value of each "cayley" or "table" key that is an
-    n x n table of non-negative integers is read straight from the bytes
-    into one int64 array (see ``_table``); the rest goes through json's C
-    scanner. Any other file, and any file the table reader does not take
-    whole, goes through ``json.loads``, so the accepted language, the values
-    (up to list or array) and the error messages are json's own.
+    n x n table of non-negative integers is read straight from the bytes,
+    in row blocks, into one int64 array (see ``_table``); the rest goes
+    through json's C scanner. Such a load holds the file's bytes, their
+    str and the 8 * n * n bytes of each array, plus buffers of under two
+    ``TABLE_BLOCK_BYTES``. Any other file, and any file the table reader
+    does not take whole, goes through ``json.loads``, so the accepted
+    language, the values (up to list or array) and the error messages are
+    json's own.
     """
     try:
         with open(path, "rb") as fh:

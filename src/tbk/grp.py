@@ -106,7 +106,11 @@ class FiniteGroup:
         return self._cache["exponent"]
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self._mul, self._mul.T))
+        """Whether the generators commute pairwise, which decides it, as
+        they generate the group."""
+        gens = list(self.generators)
+        block = self._mul[np.ix_(gens, gens)]
+        return bool(np.array_equal(block, block.T))
 
     def label(self, g: int) -> str:
         if self.labels is not None:
@@ -459,7 +463,10 @@ def centralizer(g: FiniteGroup, x: int) -> Subgroup:
 
 
 def center(g: FiniteGroup) -> Subgroup:
-    members = np.nonzero((g._mul == g._mul.T).all(axis=1))[0]
+    """x is central iff it commutes with every generator, as the generators
+    generate g: the generator columns are compared, not the whole table."""
+    gens = list(g.generators)
+    members = np.flatnonzero((g._mul[:, gens] == g._mul[gens].T).all(axis=1))
     els = tuple(int(m) for m in members)
     return Subgroup(g, els, _greedy_subgroup_generators(g._mul, els))
 

@@ -10,6 +10,7 @@ import pytest
 
 from tbk import cli, cocycle as cx, fileio, grp
 from tbk.cyclo import CycloMatrix
+from tbk.errors import MalformedError
 
 from tests.test_cocycle import klein, pairing_cocycle
 
@@ -653,3 +654,36 @@ def test_cli_referenced_files_are_hashed_under_their_pointers(
     assert sorted(payload["inputs"]) == [
         "cocycle", "cocycle.group", "cocycle.group.group", "model",
         "model.generators_file"]
+
+
+def test_cli_group_file_cycles_exit_2_naming_the_file(workdir, capsys):
+    def group_info(name: str) -> str:
+        code, payload, err = _run(
+            ["group", "info", "--in", str(workdir / name)], capsys)
+        assert code == 2 and payload == {}
+        assert "Traceback" not in err
+        return err
+
+    (workdir / "a.json").write_text(json.dumps("a.json"))
+    assert group_info("a.json") == (
+        f"error: group file {workdir / 'a.json'} is reached again: its "
+        "references form a cycle\n")
+    (workdir / "a.json").write_text(json.dumps("./b.json"))
+    (workdir / "b.json").write_text(json.dumps("sub/../a.json"))
+    (workdir / "sub").mkdir()
+    assert "b.json is reached again" in group_info("a.json")
+    assert "a.json is reached again" in group_info("b.json")
+    # a chain of references without a cycle is followed
+    (workdir / "c.json").write_text(json.dumps("klein.json"))
+    code, payload, _ = _run(
+        ["group", "info", "--in", str(workdir / "c.json")], capsys)
+    assert code == 0 and payload["results"]["order"] == 4
+    # a cocycle whose group file loops
+    raw = json.loads((workdir / "pairing.json").read_text())
+    (workdir / "pa.json").write_text(json.dumps({**raw, "group": "a.json"}))
+    code, payload, err = _run(
+        ["cocycle", "check", "--cocycle", str(workdir / "pa.json")], capsys)
+    assert code == 2 and "is reached again" in err
+    with pytest.raises(MalformedError) as info:
+        fileio.decode_group("a.json", "/group", base_dir=str(workdir))
+    assert info.value.pointer == "/group"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tbk import fileio
-from tbk.errors import MalformedError
+from tbk.errors import InfeasibleError, MalformedError
 
 
 def reference_decode(rows, n: int, pointer: str, m: int) -> np.ndarray:
@@ -272,6 +272,84 @@ def test_table_traps_load_as_json_loads_them(tmp_path, key, table):
         path.write_text(text)
         want = load_outcome(reference_load, path)
         assert load_outcome(fileio.load_json, str(path)) == want
+
+
+# block sizes of a few bytes: every table spans several blocks, its
+# skeleton slices cut through rows, and its row blocks hold one row (at 1
+# and 7) or a few (at 200)
+SMALL_BLOCKS = [1, 7, 200]
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_tables_read_in_small_blocks_are_equal_to_json(tmp_path, monkeypatch,
+                                                       block):
+    monkeypatch.setattr(fileio, "TABLE_BLOCK_BYTES", block)
+    test_tables_are_read_as_arrays_equal_to_json(tmp_path)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_mutated_files_in_small_blocks_load_as_json_loads_them(
+        tmp_path, monkeypatch, block):
+    monkeypatch.setattr(fileio, "TABLE_BLOCK_BYTES", block)
+    test_mutated_files_load_as_json_loads_them(tmp_path)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@pytest.mark.parametrize("table", TABLE_TRAPS.values(), ids=TABLE_TRAPS)
+def test_table_traps_in_small_blocks_load_as_json_loads_them(
+        tmp_path, monkeypatch, table, block):
+    monkeypatch.setattr(fileio, "TABLE_BLOCK_BYTES", block)
+    for key in ("cayley", "table"):
+        test_table_traps_load_as_json_loads_them(tmp_path, key, table)
+
+
+def cyclic_file(path, n: int) -> str:
+    text = compact({"order": n}, "cayley",
+                   ([(i + j) % n for j in range(n)] for i in range(n)))
+    path.write_text(text)
+    return text
+
+
+def test_a_table_load_peaks_at_the_file_its_str_and_its_array(tmp_path):
+    # the reader before row blocks peaked near 5 x the file's bytes + 8n^2
+    n = 600
+    path = tmp_path / "g.json"
+    size = len(cyclic_file(path, n))
+    tracemalloc.start()
+    try:
+        raw = fileio.load_json(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raw["cayley"].shape == (n, n)
+    assert raw["cayley"][7].tolist() == [(7 + j) % n for j in range(n)]
+    assert peak < 2 * size + 8 * n * n + 2 * fileio.TABLE_BLOCK_BYTES
+
+
+def test_an_oversized_table_is_declined_before_its_array_is_made(
+        tmp_path, monkeypatch):
+    from tbk import grp
+
+    n = 300
+    path = tmp_path / "g.json"
+    text = cyclic_file(path, n)
+    monkeypatch.setattr(grp, "_memory_budget", lambda: 12 * n * n - 1)
+    monkeypatch.setattr(fileio, "TABLE_BLOCK_BYTES", 4096)
+    # the guard comes after the skeleton and before the row gaps, so a
+    # digit between rows does not change the outcome
+    for text in (text, text.replace("],[", "]5,[", 1)):
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleError) as info:
+                fileio.load_json(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            f"a {n} x {n} table would take {12 * n * n} bytes, more than "
+            f"the {12 * n * n - 1} bytes of memory available")
+        assert peak < 2 * len(text) + 8 * n * n // 4
 
 
 def test_traps_json_accepts_stay_json_lists(tmp_path):

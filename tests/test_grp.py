@@ -222,6 +222,35 @@ def test_center_and_generated():
     assert grp.centralizer(q8, 2).order == 4  # <i>
 
 
+def heisenberg_group(p: int) -> grp.FiniteGroup:
+    """Unitriangular 3 x 3 matrices over Z_p: (a, b, c) is a*p^2 + b*p + c,
+    and (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a*b')."""
+    els = list(itertools.product(range(p), repeat=3))
+    index = {x: i for i, x in enumerate(els)}
+    return grp.build_from_cayley([
+        [index[(a + x) % p, (b + y) % p, (c + z + a * y) % p]
+         for x, y, z in els] for a, b, c in els])
+
+
+def test_center_and_is_abelian_match_the_whole_table(bundle_p2):
+    q8 = q8_group()
+    groups = [q8, heisenberg_group(2), heisenberg_group(3), s3_group(),
+              grp.direct_product(q8, grp.cyclic(3)),
+              grp.direct_product(s3_group(), heisenberg_group(2)),
+              grp.direct_product(grp.cyclic(4), grp.cyclic(6)),
+              grp.cyclic(1), bundle_p2.group]
+    for g in groups:
+        mul = g.mul_table()
+        zc = grp.center(g)
+        assert zc.elements == tuple(
+            int(x) for x in np.flatnonzero((mul == mul.T).all(axis=1)))
+        assert grp.subgroup_generated(g, zc.witness_generators).elements \
+            == zc.elements
+        assert g.is_abelian() == np.array_equal(mul, mul.T)
+    assert [grp.center(g).order for g in groups] == [
+        2, 2, 3, 1, 6, 2, 24, 1, 8]
+
+
 def test_commuting_pairs_klein():
     v4 = grp.direct_product(grp.cyclic(2), grp.cyclic(2))
     pairs = list(grp.commuting_pairs(v4))
