@@ -316,8 +316,8 @@ _BETWEEN_ROWS = re.compile(rb"[ \t\n\r]*,[ \t\n\r]*\[")
 _AFTER_ROWS = re.compile(rb"[ \t\n\r]*\]")
 _NOT_SKELETON = b"0123456789 \t\n\r"
 # a table is read in blocks: its skeleton in slices of this many bytes of
-# the file, its values in whole rows whose buffers (the text three times
-# over, or the text and its int64 values) reach about this many bytes
+# the file, its values in runs of whole rows whose buffers take about this
+# many bytes
 TABLE_BLOCK_BYTES = 1 << 20
 # the int64 array read from the file plus build_from_cayley's int32 copy (a
 # cocycle's copy is smaller); the reader's block buffers, under two
@@ -415,6 +415,11 @@ def _table(data: bytes, i: int, oversize: list[str]
                         f"than the {budget} bytes of memory available")
         return None, end
     out = np.empty((n, n), dtype=np.int64)
+    # a row block ends past a third of a block of text or at half a block
+    # of values, so that neither the text three times over nor the text
+    # and its values pass a block by more than a row
+    max_text = TABLE_BLOCK_BYTES // 3
+    max_rows = max(1, TABLE_BLOCK_BYTES // (16 * n))
     pos, gap, lo = i, _BEFORE_ROWS, 0
     for r in range(n):
         m = gap.match(data, pos, end)
@@ -423,9 +428,7 @@ def _table(data: bytes, i: int, oversize: list[str]
         if r == lo:
             start = m.end()
         pos, gap = data.index(b"]", m.end(), end) + 1, _BETWEEN_ROWS
-        span = pos - 1 - start
-        if r + 1 == n or max(3 * span, span + 8 * n * (r + 1 - lo)
-                             ) >= TABLE_BLOCK_BYTES:
+        if r + 1 == n or r + 1 - lo == max_rows or pos - start > max_text:
             out[lo:r + 1] = _entries(data, start, pos - 1,
                                      (r + 1 - lo) * n).reshape(-1, n)
             lo = r + 1
@@ -467,7 +470,7 @@ def _entries(data: bytes, start: int, stop: int, count: int) -> np.ndarray:
     the values' canonical decimal lengths (so no field is blank, which
     np.fromstring reads as 0, and none has a leading zero).
     """
-    fields = data[start:stop].translate(None, b"[]")
+    fields = data[start:stop].replace(b"[", b"").replace(b"]", b"")
     # fields hold digits, commas and whitespace: only digits are >= "0"
     digit = np.frombuffer(fields, dtype=np.uint8) >= 48
     digits = np.count_nonzero(digit)
