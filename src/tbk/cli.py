@@ -5,6 +5,11 @@ short human summary to stderr. Wall-clock timings go into the report's
 "timings" field, which is excluded from the determinism contract. Exit
 codes: 0 ok, 2 parse error, 3 precondition, 4 resource guard, 5 internal
 disagreement.
+
+The command table, ``COMMANDS``, is the one description of each command's
+path, handler and arguments. ``main`` builds the parser of the invoked
+command alone; ``build_parser`` builds the whole tree from the same table,
+for ``-h`` and for argv that names no command.
 """
 
 from __future__ import annotations
@@ -113,6 +118,15 @@ def _match_group(c: _cx.Cocycle2, group: _grp.FiniteGroup) -> _cx.Cocycle2:
     return _cx.Cocycle2(group, c.modulus, c.table, _verified=c._verified)
 
 
+def _in_group(g: _grp.FiniteGroup, elements: list[int], option: str
+              ) -> list[int]:
+    bad = next((x for x in elements if not 0 <= x < g.order), None)
+    if bad is not None:
+        raise MalformedError(
+            f"{option}: element {bad} is not in [0, {g.order})")
+    return elements
+
+
 def _witness_labels(g: _grp.FiniteGroup, pair):
     if pair is None:
         return None
@@ -196,8 +210,8 @@ def cmd_cocycle_coboundary(args) -> int:
 def cmd_cocycle_restrict(args) -> int:
     run = _Run(args)
     c = _load_cocycle(args.cocycle, run)
-    seed = [int(x) for x in args.elements.split(",") if x != ""]
-    sub = _grp.subgroup_generated(c.group, seed)
+    sub = _grp.subgroup_generated(
+        c.group, _in_group(c.group, args.elements, "--elements"))
     res = _cx.restrict(c, sub)
     run.results = {
         "subgroup_order": sub.order,
@@ -211,8 +225,8 @@ def cmd_cocycle_inflate(args) -> int:
     run = _Run(args)
     c = _load_cocycle(args.cocycle, run)
     group = _load_group(args.group, run, "total_group")
-    seed = [int(x) for x in args.central.split(",") if x != ""]
-    ext = _grp.quotient_by_central(group, _grp.subgroup_generated(group, seed))
+    ext = _grp.quotient_by_central(group, _grp.subgroup_generated(
+        group, _in_group(group, args.central, "--central")))
     if ext.quotient.order != c.group.order or not np.array_equal(
             ext.quotient.mul_table(), c.group.mul_table()):
         raise ModulusMismatchError(
@@ -230,13 +244,9 @@ def cmd_cocycle_inflate(args) -> int:
 def cmd_cocycle_from_extension(args) -> int:
     run = _Run(args)
     group = _load_group(args.group, run)
-    seed = [int(x) for x in args.central.split(",") if x != ""]
-    ext = _grp.quotient_by_central(group, _grp.subgroup_generated(group, seed))
-    table = {}
-    for item in args.psi.split(","):
-        key, _, val = item.partition(":")
-        table[int(key)] = int(val)
-    psi = _grp.Character(args.modulus, table)
+    ext = _grp.quotient_by_central(group, _grp.subgroup_generated(
+        group, _in_group(group, args.central, "--central")))
+    psi = _grp.Character(args.modulus, args.psi)
     c = _cx.from_central_extension(ext, psi)
     run.results = {
         "quotient_order": ext.quotient.order,
@@ -250,9 +260,7 @@ def cmd_cocycle_from_bilinear(args) -> int:
     run = _Run(args)
     group = _load_group(args.group, run)
     structure = _grp.abelian_structure(group)
-    mat = json.loads(args.matrix)
-    form = _cx.BilinearForm(group, structure, args.modulus,
-                            tuple(tuple(int(x) for x in row) for row in mat))
+    form = _cx.BilinearForm(group, structure, args.modulus, args.matrix)
     c = _cx.from_bilinear_form(form)
     run.results = {
         "invariant_factors": list(structure.invariant_factors),
@@ -437,127 +445,159 @@ def cmd_example(args) -> int:
                  f"span factors {list(span.invariant_factors)}")
 
 
-# --- argument wiring ---------------------------------------------------------
+# --- the command table -------------------------------------------------------
+
+
+def indices(text: str) -> list[int]:
+    """Comma-separated element indices."""
+    return [int(x) for x in text.split(",") if x != ""]
+
+
+def character(text: str) -> dict[int, int]:
+    """idx:exp,idx:exp,... as {idx: exp}."""
+    table = {}
+    for item in text.split(","):
+        key, _, val = item.partition(":")
+        table[int(key)] = int(val)
+    return table
+
+
+def int_matrix(text: str) -> tuple[tuple[int, ...], ...]:
+    """A JSON matrix of integers, as a tuple of rows."""
+    try:
+        return tuple(tuple(int(x) for x in row) for row in json.loads(text))
+    except OverflowError as exc:
+        raise ValueError(text) from exc
+
+
+def _opt(*flags, **kwargs):
+    return flags, kwargs
+
+
+_COCYCLE = _opt("--cocycle", required=True)
+_MODEL = _opt("--model", required=True)
+_INFILE = _opt("--in", dest="infile", required=True)
+
+# Every command once: path -> (handler, arguments after --out). A handler
+# is named, and looked up when a parser is built, so that a handler
+# replaced on the module is the one called.
+COMMANDS = {
+    "group closure": ("cmd_group_closure", [
+        _INFILE, _opt("--emit-group", action="store_true")]),
+    "group info": ("cmd_group_info", [_INFILE]),
+    "h2": ("cmd_h2", [
+        _INFILE, _opt("--cap", type=int, default=_cx.H2_DEFAULT_CAP),
+        _opt("--emit-cocycles", action="store_true")]),
+    "cocycle check": ("cmd_cocycle_check", [_COCYCLE]),
+    "cocycle coboundary": ("cmd_cocycle_coboundary", [
+        _COCYCLE,
+        _opt("--sense", choices=["torus", "mod-m"], default="torus")]),
+    "cocycle restrict": ("cmd_cocycle_restrict", [
+        _COCYCLE,
+        _opt("--elements", type=indices, required=True,
+             help="comma-separated generator indices of the subgroup")]),
+    "cocycle inflate": ("cmd_cocycle_inflate", [
+        _COCYCLE, _opt("--group", required=True, help="total group file"),
+        _opt("--central", type=indices, required=True,
+             help="comma-separated generators of the central kernel"),
+        _opt("--emit-group", action="store_true")]),
+    "cocycle from-extension": ("cmd_cocycle_from_extension", [
+        _opt("--group", required=True),
+        _opt("--central", type=indices, required=True),
+        _opt("--modulus", type=int, required=True),
+        _opt("--psi", type=character, required=True,
+             help="kernel character as idx:exp,idx:exp,...")]),
+    "cocycle from-bilinear": ("cmd_cocycle_from_bilinear", [
+        _opt("--group", required=True),
+        _opt("--modulus", type=int, required=True),
+        _opt("--matrix", type=int_matrix, required=True,
+             help="JSON matrix of integers")]),
+    "b0 test": ("cmd_b0_test", [_COCYCLE]),
+    "bg test": ("cmd_bg_test", [
+        _COCYCLE, _MODEL,
+        _opt("--method", choices=["pairs", "bicyclic", "both"],
+             default="pairs")]),
+    "span analyze": ("cmd_span_analyze", [
+        _opt("--cocycles", nargs="+", required=True),
+        _opt("--model", help="optional model file for the open-set variant")]),
+    "orbifold dims": ("cmd_orbifold_dims", [_COCYCLE, _MODEL]),
+    "orbifold verify-cor53": ("cmd_orbifold_verify", [_COCYCLE, _MODEL]),
+    "twisted assoc-check": ("cmd_twisted_assoc", [_COCYCLE]),
+    "example bogomolov": ("cmd_example", [
+        _opt("--p", type=int, required=True),
+        _opt("--convention", choices=list(_ex.CONVENTIONS),
+             default="involution"),
+        _opt("--emit-files", metavar="DIR",
+             help="write group.json, model.json and the catalog "
+                  "cocycles into DIR for the file-driven commands")]),
+}
+
+# The line `tbk -h` shows for the first word of each path.
+TOPICS = {
+    "group": "group construction and info",
+    "h2": "brute-force Schur multiplier",
+    "cocycle": "cocycle calculus",
+    "b0": "unramified-class membership",
+    "bg": "open-set obstruction membership",
+    "span": "catalog span analysis",
+    "orbifold": "twisted dimension bookkeeping",
+    "twisted": "twisted group algebra checks",
+    "example": "built-in example pipelines",
+}
+
+
+def _command_parser(parser: argparse.ArgumentParser, path: str
+                    ) -> argparse.ArgumentParser:
+    handler, options = COMMANDS[path]
+    parser.add_argument("--out", help="write the JSON report to this file")
+    for flags, kwargs in options:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(func=globals()[handler], command_path=path)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The whole tree, for -h and for argv that names no command."""
     top = argparse.ArgumentParser(
         prog="tbk",
         description="exact cocycle calculus and obstruction-group scans")
     sub = top.add_subparsers(dest="cmd", required=True)
-
-    def with_out(p):
-        p.add_argument("--out", help="write the JSON report to this file")
-        return p
-
-    grp_p = sub.add_parser("group", help="group construction and info")
-    grp_sub = grp_p.add_subparsers(dest="sub", required=True)
-    p = with_out(grp_sub.add_parser("closure"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--emit-group", action="store_true")
-    p.set_defaults(func=cmd_group_closure, command_path="group closure")
-    p = with_out(grp_sub.add_parser("info"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=cmd_group_info, command_path="group info")
-
-    p = with_out(sub.add_parser("h2", help="brute-force Schur multiplier"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cap", type=int, default=_cx.H2_DEFAULT_CAP)
-    p.add_argument("--emit-cocycles", action="store_true")
-    p.set_defaults(func=cmd_h2, command_path="h2")
-
-    coc = sub.add_parser("cocycle", help="cocycle calculus")
-    coc_sub = coc.add_subparsers(dest="sub", required=True)
-    p = with_out(coc_sub.add_parser("check"))
-    p.add_argument("--cocycle", required=True)
-    p.set_defaults(func=cmd_cocycle_check, command_path="cocycle check")
-    p = with_out(coc_sub.add_parser("coboundary"))
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--sense", choices=["torus", "mod-m"], default="torus")
-    p.set_defaults(func=cmd_cocycle_coboundary, command_path="cocycle coboundary")
-    p = with_out(coc_sub.add_parser("restrict"))
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--elements", required=True,
-                   help="comma-separated generator indices of the subgroup")
-    p.set_defaults(func=cmd_cocycle_restrict, command_path="cocycle restrict")
-    p = with_out(coc_sub.add_parser("inflate"))
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--group", required=True, help="total group file")
-    p.add_argument("--central", required=True,
-                   help="comma-separated generators of the central kernel")
-    p.add_argument("--emit-group", action="store_true")
-    p.set_defaults(func=cmd_cocycle_inflate, command_path="cocycle inflate")
-    p = with_out(coc_sub.add_parser("from-extension"))
-    p.add_argument("--group", required=True)
-    p.add_argument("--central", required=True)
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--psi", required=True,
-                   help="kernel character as idx:exp,idx:exp,...")
-    p.set_defaults(func=cmd_cocycle_from_extension,
-                   command_path="cocycle from-extension")
-    p = with_out(coc_sub.add_parser("from-bilinear"))
-    p.add_argument("--group", required=True)
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--matrix", required=True, help="JSON matrix of integers")
-    p.set_defaults(func=cmd_cocycle_from_bilinear,
-                   command_path="cocycle from-bilinear")
-
-    b0 = sub.add_parser("b0", help="unramified-class membership")
-    b0_sub = b0.add_subparsers(dest="sub", required=True)
-    p = with_out(b0_sub.add_parser("test"))
-    p.add_argument("--cocycle", required=True)
-    p.set_defaults(func=cmd_b0_test, command_path="b0 test")
-
-    bg = sub.add_parser("bg", help="open-set obstruction membership")
-    bg_sub = bg.add_subparsers(dest="sub", required=True)
-    p = with_out(bg_sub.add_parser("test"))
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--method", choices=["pairs", "bicyclic", "both"],
-                   default="pairs")
-    p.set_defaults(func=cmd_bg_test, command_path="bg test")
-
-    span = sub.add_parser("span", help="catalog span analysis")
-    span_sub = span.add_subparsers(dest="sub", required=True)
-    p = with_out(span_sub.add_parser("analyze"))
-    p.add_argument("--cocycles", nargs="+", required=True)
-    p.add_argument("--model", help="optional model file for the open-set variant")
-    p.set_defaults(func=cmd_span_analyze, command_path="span analyze")
-
-    orb = sub.add_parser("orbifold", help="twisted dimension bookkeeping")
-    orb_sub = orb.add_subparsers(dest="sub", required=True)
-    p = with_out(orb_sub.add_parser("dims"))
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_orbifold_dims, command_path="orbifold dims")
-    p = with_out(orb_sub.add_parser("verify-cor53"))
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_orbifold_verify, command_path="orbifold verify-cor53")
-
-    tw = sub.add_parser("twisted", help="twisted group algebra checks")
-    tw_sub = tw.add_subparsers(dest="sub", required=True)
-    p = with_out(tw_sub.add_parser("assoc-check"))
-    p.add_argument("--cocycle", required=True)
-    p.set_defaults(func=cmd_twisted_assoc, command_path="twisted assoc-check")
-
-    exm = sub.add_parser("example", help="built-in example pipelines")
-    exm_sub = exm.add_subparsers(dest="sub", required=True)
-    p = with_out(exm_sub.add_parser("bogomolov"))
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--convention", choices=list(_ex.CONVENTIONS),
-                   default="involution")
-    p.add_argument("--emit-files", metavar="DIR",
-                   help="write group.json, model.json and the catalog "
-                        "cocycles into DIR for the file-driven commands")
-    p.set_defaults(func=cmd_example, command_path="example bogomolov")
-
+    groups = {}
+    for path in COMMANDS:
+        head, _, name = path.partition(" ")
+        if not name:
+            _command_parser(sub.add_parser(head, help=TOPICS[head]), path)
+            continue
+        if head not in groups:
+            groups[head] = sub.add_parser(head, help=TOPICS[head]) \
+                .add_subparsers(dest="sub", required=True)
+        _command_parser(groups[head].add_parser(name), path)
     return top
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the invoked command's parser alone.
+
+    That parser is the one the whole tree holds for the command, so its
+    messages and help are the tree's. The tree parses argv that does not
+    start with a command path, and argv that the command's parser leaves
+    arguments over from, as the tree reports those at its top level.
+    """
+    for k in (2, 1):
+        words = argv[:k]
+        path = " ".join(words)
+        if path in COMMANDS and path.split(" ") == words:
+            args, extra = _command_parser(
+                argparse.ArgumentParser(prog=f"tbk {path}"), path
+            ).parse_known_args(argv[len(words):])
+            if not extra:
+                return args
+            break
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except MalformedError as exc:

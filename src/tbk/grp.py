@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 import resource
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 from typing import Callable, Iterator, Sequence
 
@@ -126,15 +126,28 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup recorded as a sorted index set inside its parent."""
+    """A subgroup recorded as a sorted index set inside its parent.
+
+    Without generators given, ``witness_generators`` is the ascending greedy
+    generating set, built on first read: most scans read only ``elements``.
+    """
 
     parent: FiniteGroup
     elements: tuple[int, ...]
-    witness_generators: tuple[int, ...]
+    _generators: tuple[int, ...] | None = field(default=None, compare=False,
+                                                repr=False)
 
     def __post_init__(self):
         if 0 not in self.elements:
             raise NotAGroupError("subgroup must contain the identity")
+
+    @property
+    def witness_generators(self) -> tuple[int, ...]:
+        if self._generators is None:
+            object.__setattr__(self, "_generators",
+                               _greedy_subgroup_generators(self.parent._mul,
+                                                           self.elements))
+        return self._generators
 
     @property
     def order(self) -> int:
@@ -457,8 +470,7 @@ def centralizer(g: FiniteGroup, x: int) -> Subgroup:
     cache = g._cache.setdefault("centralizers", {})
     if x not in cache:
         members = np.nonzero(g._mul[:, x] == g._mul[x, :])[0]
-        els = tuple(int(m) for m in members)
-        cache[x] = Subgroup(g, els, _greedy_subgroup_generators(g._mul, els))
+        cache[x] = Subgroup(g, tuple(int(m) for m in members))
     return cache[x]
 
 
@@ -467,8 +479,7 @@ def center(g: FiniteGroup) -> Subgroup:
     generate g: the generator columns are compared, not the whole table."""
     gens = list(g.generators)
     members = np.flatnonzero((g._mul[:, gens] == g._mul[gens].T).all(axis=1))
-    els = tuple(int(m) for m in members)
-    return Subgroup(g, els, _greedy_subgroup_generators(g._mul, els))
+    return Subgroup(g, tuple(int(m) for m in members))
 
 
 def _greedy_subgroup_generators(mul: np.ndarray, elements: Sequence[int]
@@ -581,8 +592,7 @@ def cyclic_quotient_kernels(h: Subgroup) -> list[Subgroup]:
         els = tuple(sorted(x for x, v in st.dlog.items()
                            if sum(a * b for a, b in zip(w, v)) % e == 0))
         if els not in kernels:
-            kernels[els] = Subgroup(h.parent, els, _greedy_subgroup_generators(
-                h.parent._mul, els))
+            kernels[els] = Subgroup(h.parent, els)
     return list(kernels.values())
 
 

@@ -359,8 +359,7 @@ def pointwise_stabilizer(group: FiniteGroup, rep: MatrixRep,
         if all(_vec_eq(m.matvec(v), v) for v in w.basis):
             members.append(g)
     els = tuple(sorted(members))
-    return Subgroup(group, els,
-                    _grp._greedy_subgroup_generators(group.mul_table(), els))
+    return Subgroup(group, els)
 
 
 def _vec_eq(a, b) -> bool:
@@ -381,8 +380,7 @@ def line_stabilizer(group: FiniteGroup, rep: MatrixRep, vec) -> Subgroup:
         if _vec_eq(w, [ratio * x for x in v]):
             members.append(g)
     els = tuple(sorted(members))
-    return Subgroup(group, els,
-                    _grp._greedy_subgroup_generators(group.mul_table(), els))
+    return Subgroup(group, els)
 
 
 def _members_by_dim(arrangement) -> dict[int, dict[tuple, Subspace]]:

@@ -512,7 +512,8 @@ def _command_parsers(parser, path=("tbk",)):
         yield from _command_parsers(child, (*path, name))
 
 
-def test_readme_synopsis_matches_the_parser():
+def _readme_synopsis() -> list[str]:
+    """The README's command-line synopsis, one entry per command line."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = next(b for b in readme.split("```sh\n")[1:]
                  if b.startswith("tbk group closure")).split("```")[0]
@@ -523,6 +524,11 @@ def test_readme_synopsis_matches_the_parser():
             entries.append(line)
         elif line.strip():
             entries[-1] += " " + line.strip()
+    return entries
+
+
+def test_readme_synopsis_matches_the_parser():
+    entries = _readme_synopsis()
     commands = dict(_command_parsers(cli.build_parser()))
     for path, parser in commands.items():
         shown = [e for e in entries if e == path or e.startswith(path + " ")]
@@ -532,6 +538,197 @@ def test_readme_synopsis_matches_the_parser():
             for flag in re.findall(r"--[a-z][a-z0-9-]*", entry):
                 assert flag in options, f"{path} has no {flag}"
     assert all(any(e.startswith(path) for path in commands) for e in entries)
+
+
+# A valid argv after the path for every command; the files are not opened.
+_VALID = {
+    "group closure": ["--in", "gens.json", "--emit-group"],
+    "group info": ["--in", "g.json", "--out", "r.json"],
+    "h2": ["--in", "g.json", "--cap", "16", "--emit-cocycles"],
+    "cocycle check": ["--cocycle", "c.json"],
+    "cocycle coboundary": ["--cocycle", "c.json", "--sense", "mod-m"],
+    "cocycle restrict": ["--cocycle", "c.json", "--elements", "1,5"],
+    "cocycle inflate": ["--cocycle", "c.json", "--group", "big.json",
+                        "--central", "3,7", "--emit-group"],
+    "cocycle from-extension": ["--group", "g.json", "--central", "3",
+                               "--modulus", "2", "--psi", "0:0,3:1"],
+    "cocycle from-bilinear": ["--group", "a.json", "--modulus", "2",
+                              "--matrix", "[[0,1],[0,0]]"],
+    "b0 test": ["--cocycle", "c.json"],
+    "bg test": ["--cocycle", "c.json", "--model", "m.json",
+                "--method", "bicyclic"],
+    "span analyze": ["--cocycles", "c1.json", "c2.json", "--model", "m.json"],
+    "orbifold dims": ["--cocycle", "c.json", "--model", "m.json"],
+    "orbifold verify-cor53": ["--cocycle", "c.json", "--model", "m.json"],
+    "twisted assoc-check": ["--cocycle", "c.json"],
+    "example bogomolov": ["--p", "2", "--convention", "literal",
+                          "--emit-files", "out"],
+}
+
+
+def _without_first_required(path: str, rest: list[str]) -> list[str]:
+    """rest without the command's first required option and its values."""
+    flag = next(flags[0] for flags, kw in cli.COMMANDS[path][1]
+                if kw.get("required"))
+    i = rest.index(flag)
+    j = i + 1
+    while j < len(rest) and not rest[j].startswith("--"):
+        j += 1
+    return rest[:i] + rest[j:]
+
+
+def _argvs(path: str) -> list[list[str]]:
+    """A valid argv and the error argvs for one command."""
+    rest = _VALID[path]
+    out = [rest, _without_first_required(path, rest), rest + ["-h"],
+           ["-h"], []]
+    for flag in ("--sense", "--method", "--convention"):
+        if flag in rest:
+            out.append(rest + [flag, "bogus"])
+    for flag in ("--p", "--cap", "--modulus"):
+        if flag in rest:
+            out.append(rest + [flag, "x"])
+    for flag, bad in (("--elements", "a"), ("--central", "x"),
+                      ("--psi", "1"), ("--psi", "a:1"),
+                      ("--matrix", "[[1"), ("--matrix", "5")):
+        if flag in rest:
+            out.append(rest + [flag, bad])
+    return [path.split() + a for a in out]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """Exit code, stdout, stderr and parsed values of one parse."""
+    try:
+        args, code = parse(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out, err = capsys.readouterr()
+    values = None if args is None else {
+        k: v for k, v in vars(args).items() if k not in ("cmd", "sub")}
+    return code, out, err, values
+
+
+def test_the_command_parser_parses_as_the_whole_tree(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    shown = {p for p in cli.COMMANDS for e in _readme_synopsis()
+             if e == f"tbk {p}" or e.startswith(f"tbk {p} ")}
+    assert shown == set(cli.COMMANDS) == set(_VALID)
+    tree = cli.build_parser
+
+    def no_tree():
+        raise AssertionError("the whole tree was built for a command")
+
+    for path in cli.COMMANDS:
+        for argv in _argvs(path):
+            want = _parse_outcome(tree().parse_args, argv, capsys)
+            monkeypatch.setattr(cli, "build_parser", no_tree)
+            got = _parse_outcome(cli.parse_args, argv, capsys)
+            monkeypatch.setattr(cli, "build_parser", tree)
+            assert got == want, argv
+            if argv[-1] == "-h":
+                assert got[0] == 0 and got[1].startswith(f"usage: tbk {path}")
+            elif got[3] is not None:
+                handler = getattr(cli, cli.COMMANDS[path][0])
+                assert got[3]["func"] is handler
+                assert got[3]["command_path"] == path
+            else:
+                assert got[0] == 2 and f"tbk {path}: error:" in got[2]
+        # arguments the command's parser leaves over: the tree's message
+        argv = path.split() + _VALID[path] + ["--bogus"]
+        assert _parse_outcome(cli.parse_args, argv, capsys) == \
+            _parse_outcome(tree().parse_args, argv, capsys)
+        assert "tbk: error: unrecognized arguments: --bogus" in \
+            _parse_outcome(cli.parse_args, argv, capsys)[2]
+
+
+_USAGE = ("usage: tbk [-h] {group,h2,cocycle,b0,bg,span,orbifold,twisted,"
+          "example} ...\n")
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    ([], 2, "", _USAGE + "tbk: error: the following arguments are required: "
+     "cmd\n"),
+    (["bogus"], 2, "", _USAGE + "tbk: error: argument cmd: invalid choice: "
+     "'bogus' (choose from 'group', 'h2', 'cocycle', 'b0', 'bg', 'span', "
+     "'orbifold', 'twisted', 'example')\n"),
+    (["b0"], 2, "", "usage: tbk b0 [-h] {test} ...\ntbk b0: error: the "
+     "following arguments are required: sub\n"),
+    (["b0", "-h"], 0, "usage: tbk b0 [-h] {test} ...\n\npositional "
+     "arguments:\n  {test}\n\noptions:\n  -h, --help  show this help "
+     "message and exit\n", ""),
+    (["-h"], 0, _USAGE + """
+exact cocycle calculus and obstruction-group scans
+
+positional arguments:
+  {group,h2,cocycle,b0,bg,span,orbifold,twisted,example}
+    group               group construction and info
+    h2                  brute-force Schur multiplier
+    cocycle             cocycle calculus
+    b0                  unramified-class membership
+    bg                  open-set obstruction membership
+    span                catalog span analysis
+    orbifold            twisted dimension bookkeeping
+    twisted             twisted group algebra checks
+    example             built-in example pipelines
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+])
+def test_argv_without_a_command_path_gets_the_whole_tree(
+        argv, code, out, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert (info.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cocycle", "restrict", "--cocycle", "pairing.json", "--elements", "a"],
+     "argument --elements: invalid indices value: 'a'"),
+    (["cocycle", "inflate", "--cocycle", "pairing.json", "--group",
+      "klein.json", "--central", "x"],
+     "argument --central: invalid indices value: 'x'"),
+    (["cocycle", "from-extension", "--group", "klein.json", "--central", "1",
+      "--modulus", "2", "--psi", "a:1"],
+     "argument --psi: invalid character value: 'a:1'"),
+    (["cocycle", "from-extension", "--group", "klein.json", "--central", "1",
+      "--modulus", "2", "--psi", "1"],
+     "argument --psi: invalid character value: '1'"),
+    (["cocycle", "from-bilinear", "--group", "klein.json", "--modulus", "2",
+      "--matrix", "[[1"],
+     "argument --matrix: invalid int_matrix value: '[[1'"),
+    (["cocycle", "from-bilinear", "--group", "klein.json", "--modulus", "2",
+      "--matrix", "5"], "argument --matrix: invalid int_matrix value: '5'"),
+    (["cocycle", "from-bilinear", "--group", "klein.json", "--modulus", "2",
+      "--matrix", "[[1e400]]"],
+     "argument --matrix: invalid int_matrix value: '[[1e400]]'"),
+])
+def test_malformed_option_values_are_parse_errors(workdir, capsys, argv,
+                                                  message):
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == 2 and out == ""
+    assert err.endswith(f"tbk {argv[0]} {argv[1]}: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cocycle", "restrict", "--cocycle", "pairing.json", "--elements", "1,4"],
+    ["cocycle", "restrict", "--cocycle", "pairing.json", "--elements", "-1"],
+    ["cocycle", "inflate", "--cocycle", "pairing.json", "--group",
+     "klein.json", "--central", "999"],
+    ["cocycle", "from-extension", "--group", "klein.json", "--central", "4",
+     "--modulus", "2", "--psi", "0:0"],
+])
+def test_element_indices_outside_the_group_exit_2(workdir, capsys, argv):
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    option = next(a for a in argv if a in ("--elements", "--central"))
+    bad = argv[argv.index(option) + 1].split(",")[-1]
+    code, payload, err = _run(argv, capsys)
+    assert (code, payload) == (2, {})
+    assert err == f"error: {option}: element {bad} is not in [0, 4)\n"
 
 
 def test_cli_negative_cocycle_entry_keeps_its_message(workdir, capsys):

@@ -251,6 +251,47 @@ def test_center_and_is_abelian_match_the_whole_table(bundle_p2):
         2, 2, 3, 1, 6, 2, 24, 1, 8]
 
 
+def _check_generators(h: grp.Subgroup) -> None:
+    g = h.parent
+    assert h.witness_generators == grp._greedy_subgroup_generators(
+        g.mul_table(), h.elements)
+    assert grp.subgroup_generated(g, h.witness_generators).elements \
+        == h.elements
+
+
+def test_lazily_built_generators_are_the_greedy_ones(bundle_p2, bundle_p3):
+    g2 = bundle_p2.group
+    for x in range(g2.order):
+        _check_generators(grp.centralizer(g2, x))
+    g3 = bundle_p3.group
+    for r in grp.class_representatives(g3)[:20]:
+        _check_generators(grp.centralizer(g3, r))
+    for g in (g2, g3, q8_group(), grp.cyclic(1)):
+        _check_generators(grp.center(g))
+
+
+def test_a_b0_member_scan_builds_no_generators(bundle_p2, monkeypatch):
+    from tbk import brauer
+    from tbk.cocycle import Cocycle2
+
+    calls = []
+    greedy = grp._greedy_subgroup_generators
+
+    def counted(mul, elements):
+        calls.append(len(elements))
+        return greedy(mul, elements)
+
+    monkeypatch.setattr(grp, "_greedy_subgroup_generators", counted)
+    c = bundle_p2.cocycle("e12")
+    g = grp.FiniteGroup(c.group.mul_table(), c.group.generators,
+                        _validated=True)
+    assert brauer.in_B0(Cocycle2(g, c.modulus, c.table)).member
+    assert len(g._cache["centralizers"]) == len(grp.class_representatives(g))
+    assert calls == []
+    grp.centralizer(g, 1).witness_generators
+    assert calls == [grp.centralizer(g, 1).order]
+
+
 def test_commuting_pairs_klein():
     v4 = grp.direct_product(grp.cyclic(2), grp.cyclic(2))
     pairs = list(grp.commuting_pairs(v4))
