@@ -9,7 +9,6 @@ tables modulo m. See README.md for the command-line surface.
 from . import brauer, cocycle, cyclo, example, grp, rep, zmlin
 from .brauer import (
     BicyclicWitness,
-    LCharacter,
     OrbifoldReport,
     SpanReport,
     bg_cross_check,
@@ -24,8 +23,6 @@ from .cocycle import (
     BilinearForm,
     Cochain1,
     Cocycle2,
-    GroupAction,
-    TwistedAlgebraElement,
     coboundary_of,
     from_bilinear_form,
     from_central_extension,
@@ -34,9 +31,6 @@ from .cocycle import (
     is_coboundary,
     is_cocycle,
     restrict,
-    schur_bicyclic,
-    twisted_assoc_check,
-    twisted_product,
 )
 from .cyclo import CycloMatrix, CycloNumber, RootOfUnity, Subspace, eigenspace, kernel
 from .example import ExampleBundle, bogomolov_example
@@ -63,7 +57,6 @@ from .rep import (
     build_model,
     eigen_survey,
     fixed_locus_survey,
-    line_stabilizer,
     matrix_closure,
     meets_complement,
     pointwise_stabilizer,

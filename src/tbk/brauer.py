@@ -32,38 +32,6 @@ from .rep import LinearActionModel
 
 
 @dataclass(frozen=True)
-class LCharacter:
-    """h -> beta(g, h): a homomorphism from the centralizer of g into Z_m."""
-
-    base: int
-    centralizer: Subgroup
-    modulus: int
-    table: dict[int, int]
-
-    def value(self, h: int) -> int:
-        return self.table[h]
-
-    def is_trivial(self) -> bool:
-        return not any(self.table.values())
-
-
-def L_character(c: _cx.Cocycle2, g: int) -> LCharacter:
-    _cx.ensure_cocycle(c)
-    grp_ = c.group
-    z = _grp.centralizer(grp_, g)
-    m = c.modulus
-    tab = {int(h): c.beta(g, int(h)) for h in z.elements}
-    # homomorphism audit: additivity against generators spans all of Z_g
-    for s in z.witness_generators:
-        for h in z.elements:
-            sh = grp_.mul(s, h)
-            assert (tab[s] + tab[h] - tab[sh]) % m == 0, \
-                "beta(g, -) is not a character on the centralizer"
-    assert tab[g] == 0
-    return LCharacter(g, z, m, tab)
-
-
-@dataclass(frozen=True)
 class MembershipVerdict:
     member: bool
     witness_pair: tuple[int, int] | None
@@ -97,11 +65,12 @@ def _beta_scan(c: _cx.Cocycle2, model: LinearActionModel | None
     """First commuting pair (r, h) with beta(r, h) != 0, r an active rep."""
     g = c.group
     m = c.modulus
-    t = c.table.astype(np.int64)
+    t = c.table
     for rep_ in _active_representatives(g, model):
         z = _grp.centralizer(g, rep_)
         els = np.array(z.elements, dtype=np.int64)
-        beta = (t[rep_, els] - t[els, rep_]) % m
+        # only these two vectors are widened: an int64 table copy is 8 n^2 bytes
+        beta = (t[rep_, els].astype(np.int64) - t[els, rep_]) % m
         bad = np.nonzero(beta)[0]
         if len(bad):
             return MembershipVerdict(False, (rep_, int(els[bad[0]])))

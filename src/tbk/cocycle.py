@@ -2,8 +2,8 @@
 
 Cocycles carry additive exponent tables: the table entry t at (g, h) means
 the scalar zeta_modulus^t. All the calculus (coboundaries, restriction,
-inflation, the twisted product) happens on exponents, which keeps every
-computation exact integer arithmetic.
+inflation) happens on exponents, which keeps every computation exact
+integer arithmetic.
 
 Two distinct coboundary senses are exposed. "mod-m" asks for a witness
 cochain with values in the same Z_m; "torus" asks for triviality with
@@ -21,9 +21,7 @@ import numpy as np
 
 from . import grp as _grp
 from . import zmlin
-from .cyclo import CycloNumber
 from .errors import (
-    ActionInvalidError,
     DefectOutsideKernelError,
     IllDefinedFormError,
     InfeasibleError,
@@ -32,7 +30,6 @@ from .errors import (
     NotACocycleError,
     NotAGroupError,
     NotAHomomorphismError,
-    NotBicyclicError,
     NotNormalizedError,
 )
 from .grp import AbelianStructure, CentralExtension, Character, FiniteGroup, Subgroup
@@ -490,36 +487,6 @@ def symmetric_on(c: Cocycle2, a: Subgroup) -> bool:
     return bool((((sub - sub.T) % c.modulus) == 0).all())
 
 
-def bicyclic_triviality(c: Cocycle2, a: Subgroup) -> bool:
-    """Circle-coefficient triviality of the restriction to a bicyclic group.
-
-    Symmetry of the restricted table is equivalent to torus-sense coboundary
-    status on a group with at most two invariant factors, so no solver runs.
-    """
-    structure = _grp.abelian_structure(a)
-    if not structure.is_bicyclic():
-        raise NotBicyclicError(
-            f"subgroup has {len(structure.invariant_factors)} invariant factors")
-    return symmetric_on(c, a)
-
-
-def schur_bicyclic(d1: int, d2: int) -> tuple[AbelianStructure, list[Cocycle2]]:
-    """Cohomology of Z_d1 x Z_d2 with circle coefficients: cyclic of order gcd."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError("factors must be positive")
-    g = gcd(d1, d2)
-    if g == 1:
-        return AbelianStructure((), ()), []
-    group = _grp.direct_product(_grp.cyclic(d1), _grp.cyclic(d2))
-    structure = _grp.abelian_structure(group)
-    # pairing of the two coordinate characters, taken mod gcd
-    r = len(structure.invariant_factors)
-    mat = np.zeros((r, r), dtype=np.int64)
-    mat[0, 1] = 1
-    form = BilinearForm(group, structure, g, tuple(map(tuple, mat)))
-    return AbelianStructure((g,), (0,)), [from_bilinear_form(form)]
-
-
 # ---------------------------------------------------------------------------
 # brute-force H^2 for small groups
 
@@ -638,138 +605,3 @@ def h2_small(g: FiniteGroup, cap: int = H2_DEFAULT_CAP
         ensure_cocycle(rep)
         reps.append(rep)
     return AbelianStructure(factors, tuple(range(len(reps)))), reps
-
-
-# ---------------------------------------------------------------------------
-# twisted group algebra over a finite G-set
-
-
-@dataclass(frozen=True)
-class GroupAction:
-    """Left action of a finite group on the point set {0, ..., points-1}."""
-
-    group: FiniteGroup
-    points: int
-    perm: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        g = self.group
-        p = self.perm
-        if len(p) != g.order or any(len(row) != self.points for row in p):
-            raise ActionInvalidError("permutation table has the wrong shape")
-        if tuple(p[0]) != tuple(range(self.points)):
-            raise ActionInvalidError("identity must act trivially")
-        arr = np.asarray(p, dtype=np.int64)
-        if ((arr < 0) | (arr >= self.points)).any():
-            raise ActionInvalidError("permutation entry out of range")
-        if (np.sort(arr, axis=1) != np.arange(self.points)).any():
-            raise ActionInvalidError("some row is not a permutation")
-        mul = g.mul_table()
-        # the rows a with a(bs) = (ab)s for all b are closed under products,
-        # so if any row fails, one up to the last generator does
-        for a in range(max(g.generators, default=0) + 1):
-            bad = (arr[mul[a]] != arr[a][arr]).any(axis=1)
-            if bad.any():
-                b = int(np.flatnonzero(bad)[0])
-                raise ActionInvalidError(
-                    f"not an action at ({a}, {b})", witness=(a, b))
-
-    @classmethod
-    def trivial(cls, group: FiniteGroup, points: int = 1) -> "GroupAction":
-        return cls(group, points,
-                   tuple(tuple(range(points)) for _ in range(group.order)))
-
-    @classmethod
-    def from_point_maps(cls, group: FiniteGroup, maps) -> "GroupAction":
-        return cls(group, len(maps[0]), tuple(tuple(r) for r in maps))
-
-    def moved(self, g: int, s: int) -> int:
-        return self.perm[g][s]
-
-
-@dataclass(frozen=True)
-class TwistedAlgebraElement:
-    """Formal sum of (coefficient function on the G-set) * (group element)."""
-
-    action: GroupAction
-    modulus: int
-    terms: tuple[tuple[int, tuple[CycloNumber, ...]], ...]
-
-    @classmethod
-    def make(cls, action: GroupAction, modulus: int,
-             terms: dict[int, tuple]) -> "TwistedAlgebraElement":
-        clean = []
-        for g in sorted(terms):
-            coeff = tuple(
-                x if isinstance(x, CycloNumber) else CycloNumber.rational(x)
-                for x in terms[g])
-            if len(coeff) != action.points:
-                raise ActionInvalidError("coefficient function has wrong arity")
-            if any(not x.is_zero() for x in coeff):
-                clean.append((g, coeff))
-        return cls(action, modulus, tuple(clean))
-
-    @classmethod
-    def monomial(cls, action: GroupAction, modulus: int, g: int,
-                 value=1) -> "TwistedAlgebraElement":
-        coeff = tuple(CycloNumber.rational(value) for _ in range(action.points))
-        return cls.make(action, modulus, {g: coeff})
-
-    def coefficient(self, g: int) -> tuple[CycloNumber, ...]:
-        for h, c in self.terms:
-            if h == g:
-                return c
-        return tuple(CycloNumber.rational(0) for _ in range(self.action.points))
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistedAlgebraElement):
-            return NotImplemented
-        mine = {g: c for g, c in self.terms}
-        theirs = {g: c for g, c in other.terms}
-        if set(mine) != set(theirs):
-            return False
-        return all(all(a == b for a, b in zip(mine[g], theirs[g])) for g in mine)
-
-
-def twisted_product(u: TwistedAlgebraElement, v: TwistedAlgebraElement,
-                    c: Cocycle2, action: GroupAction | None = None
-                    ) -> TwistedAlgebraElement:
-    """(r1 g1) (r2 g2) = zeta^c(g1,g2) (r1 * (g1 r2)) (g1 g2)."""
-    action = action or u.action
-    if u.action is not action or v.action is not action:
-        raise ActionInvalidError("elements live over different actions")
-    g = c.group
-    if action.group is not g:
-        raise ActionInvalidError("action group does not match the cocycle")
-    m = c.modulus
-    inv = g.inv_table()
-    acc: dict[int, list[CycloNumber]] = {}
-    for g1, r1 in u.terms:
-        pre = action.perm[int(inv[g1])]
-        for g2, r2 in v.terms:
-            scalar = CycloNumber.zeta(m, c.value(g1, g2)) if m > 1 \
-                else CycloNumber.rational(1)
-            moved = tuple(r2[pre[s]] for s in range(action.points))
-            target = g.mul(g1, g2)
-            slot = acc.setdefault(
-                target, [CycloNumber.rational(0)] * action.points)
-            for s in range(action.points):
-                if not r1[s].is_zero() and not moved[s].is_zero():
-                    slot[s] = slot[s] + scalar * r1[s] * moved[s]
-    return TwistedAlgebraElement.make(action, m, {g_: tuple(v_) for g_, v_ in acc.items()})
-
-
-def twisted_assoc_check(c: Cocycle2, action: GroupAction
-                        ) -> tuple[bool, tuple[int, int, int] | None]:
-    """Decide associativity of the twisted product; witness a failing triple.
-
-    For a valid action a(b r) = (ab) r, so both bracketings of
-    (r1 a)(r2 b)(r3 x) are r1 (a r2) (ab r3) times abx, scaled by
-    zeta^(c(a,b) + c(ab,x)) on the left and zeta^(c(b,x) + c(a,bx)) on the
-    right: the product is associative iff c is a cocycle, and the witness
-    is the first failing triple of ``is_cocycle``.
-    """
-    ok, witness = is_cocycle(c)
-    if ok and action.group is not c.group:
-        raise ActionInvalidError("action group does not match the cocycle")
-    return ok, witness

@@ -29,10 +29,6 @@ class NotAbelianError(TbkError):
     pass
 
 
-class NotBicyclicError(TbkError):
-    pass
-
-
 class NonCentralSubgroupError(TbkError):
     pass
 
@@ -61,10 +57,6 @@ class NonInvertibleGeneratorError(TbkError):
     pass
 
 
-class ZeroVectorError(TbkError):
-    pass
-
-
 class NotNormalizedError(TbkError):
     pass
 
@@ -87,10 +79,6 @@ class ModulusMismatchError(TbkError):
 
 class InfeasibleError(TbkError):
     exit_code = 4
-
-
-class ActionInvalidError(TbkError):
-    pass
 
 
 class NonCommutingPairError(TbkError):

@@ -201,12 +201,6 @@ class AbelianStructure:
             out *= d
         return out
 
-    def is_bicyclic(self) -> bool:
-        return len(self.invariant_factors) <= 2
-
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
 
 @dataclass(frozen=True)
 class CentralExtension:
@@ -470,7 +464,7 @@ def centralizer(g: FiniteGroup, x: int) -> Subgroup:
     cache = g._cache.setdefault("centralizers", {})
     if x not in cache:
         members = np.nonzero(g._mul[:, x] == g._mul[x, :])[0]
-        cache[x] = Subgroup(g, tuple(int(m) for m in members))
+        cache[x] = Subgroup(g, tuple(members.tolist()))
     return cache[x]
 
 
@@ -479,7 +473,7 @@ def center(g: FiniteGroup) -> Subgroup:
     generate g: the generator columns are compared, not the whole table."""
     gens = list(g.generators)
     members = np.flatnonzero((g._mul[:, gens] == g._mul[gens].T).all(axis=1))
-    return Subgroup(g, tuple(int(m) for m in members))
+    return Subgroup(g, tuple(members.tolist()))
 
 
 def _greedy_subgroup_generators(mul: np.ndarray, elements: Sequence[int]

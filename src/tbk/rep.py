@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatchError,
     NonInvertibleGeneratorError,
     SingularMatrixError,
-    ZeroVectorError,
 )
 from .grp import FiniteGroup, Subgroup
 
@@ -356,28 +355,7 @@ def pointwise_stabilizer(group: FiniteGroup, rep: MatrixRep,
     members = []
     for g in range(group.order):
         m = rep.matrices[g]
-        if all(_vec_eq(m.matvec(v), v) for v in w.basis):
-            members.append(g)
-    els = tuple(sorted(members))
-    return Subgroup(group, els)
-
-
-def _vec_eq(a, b) -> bool:
-    return all(x == y for x, y in zip(a, b))
-
-
-def line_stabilizer(group: FiniteGroup, rep: MatrixRep, vec) -> Subgroup:
-    """Elements mapping the line spanned by vec to itself."""
-    v = [x if isinstance(x, CycloNumber) else CycloNumber.rational(x)
-         for x in vec]
-    if all(x.is_zero() for x in v):
-        raise ZeroVectorError("line stabilizer of the zero vector")
-    lead = next(i for i, x in enumerate(v) if not x.is_zero())
-    members = []
-    for g in range(group.order):
-        w = rep.matrices[g].matvec(v)
-        ratio = w[lead] / v[lead]
-        if _vec_eq(w, [ratio * x for x in v]):
+        if all(m.matvec(v) == tuple(v) for v in w.basis):
             members.append(g)
     els = tuple(sorted(members))
     return Subgroup(group, els)

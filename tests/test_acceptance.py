@@ -128,15 +128,16 @@ def test_criterion_03_elementary_cube_and_quaternions():
 
 
 def test_criterion_04_twisted_associativity():
-    with criterion(4, "associativity audit == cocycle identity, 50 perturbations", 10):
+    with criterion(4, "twisted monomial audit == cocycle identity, "
+                      "50 perturbations", 10):
+        from tests.test_cocycle import KLEIN_SWAP, twisted_assoc_audit
+
         g = _klein()
-        action = cx.GroupAction.from_point_maps(
-            g, [[0, 1, 2], [0, 2, 1], [0, 1, 2], [0, 2, 1]])
         cocycles = _all_mod2_cocycles_on_klein()
         for c in cocycles:
             rebased = cx.Cocycle2(g, 2, c.table)
-            ok, _ = cx.twisted_assoc_check(rebased, action)
-            assert ok
+            assert twisted_assoc_audit(rebased, KLEIN_SWAP) == \
+                cx.is_cocycle(rebased) == (True, None)
         rng = random.Random(2024)
         broken_seen = 0
         while broken_seen < 50:
@@ -145,13 +146,15 @@ def test_criterion_04_twisted_associativity():
             a, b = rng.randrange(1, 4), rng.randrange(1, 4)
             tab[a, b] = (tab[a, b] + 1) % 2
             broken = cx.Cocycle2(g, 2, tab)
-            ok, _ = cx.is_cocycle(broken)
-            if ok:
-                continue
-            broken_seen += 1
-            verdict, witness = cx.twisted_assoc_check(broken, action)
-            assert not verdict and witness is not None
-        assert broken_seen == 50
+            verdict = twisted_assoc_audit(broken, KLEIN_SWAP)
+            assert verdict == cx.is_cocycle(broken)
+            broken_seen += not verdict[0]
+
+
+def test_criterion_04_fails_when_is_cocycle_accepts_every_table(monkeypatch):
+    monkeypatch.setattr(cx, "is_cocycle", lambda c: (True, None))
+    with pytest.raises(AssertionError):
+        test_criterion_04_twisted_associativity()
 
 
 def test_criterion_05_order_p7_construction():

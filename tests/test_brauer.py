@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,23 +37,23 @@ def z3z3_model() -> tuple[grp.FiniteGroup, rp.LinearActionModel]:
 
 
 def test_l_character_of_coboundary_is_trivial():
-    g = klein()
+    g, model = klein_model()
     rng = random.Random(0)
     for _ in range(5):
         lam = cx.Cochain1(g, 2, [0] + [rng.randrange(2) for _ in range(3)])
-        c = cx.coboundary_of(lam)
-        for x in range(4):
-            assert br.L_character(c, x).is_trivial()
+        rows = br.orbifold_dims(model, cx.coboundary_of(lam)).rows
+        assert sorted(r.representative for r in rows) == [0, 1, 2, 3]
+        assert all(r.l_trivial for r in rows)
 
 
 def test_l_character_of_pairing():
-    c = pairing_cocycle(klein())
-    g = c.group
+    g, model = klein_model()
+    c = pairing_cocycle(g)
     e1, e2 = g.generators
-    chi = br.L_character(c, e1)
-    assert not chi.is_trivial()
-    assert chi.value(e2) == 1
-    assert br.L_character(c, 0).is_trivial()
+    rows = {r.representative: r for r in br.orbifold_dims(model, c).rows}
+    assert not rows[e1].l_trivial
+    assert c.beta(e1, e2) == 1
+    assert rows[0].l_trivial
 
 
 def test_in_b0_zero_cocycle():
@@ -87,6 +88,22 @@ def test_b0_implies_bg_on_any_model(bundle_p2):
         c = b.cocycle(name)
         if br.in_B0(c).member:
             assert br.in_BG(c, b.model).member
+
+
+def test_in_b0_does_not_copy_the_table(bundle_p2):
+    # the scan gathers rows and columns in the table's dtype: one call stays
+    # below an int64 copy of the n x n table
+    c = bundle_p2.cocycle("e12")
+    cx.ensure_cocycle(c)
+    n = c.group.order
+    tracemalloc.start()
+    try:
+        verdict = br.in_B0(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.member
+    assert peak < 8 * n * n
 
 
 def test_bicyclic_agrees_with_pair_scan_small():

@@ -119,6 +119,21 @@ def test_cli_twisted_assoc(workdir, capsys):
         ["twisted", "assoc-check", "--cocycle", str(workdir / "pairing.json")],
         capsys)
     assert code == 0 and payload["results"]["associative"] is True
+    # associativity is the cocycle identity: a corrupted cell is reported
+    # with the cocycle check's first failing triple
+    c = pairing_cocycle(klein())
+    tab = c.table.astype(np.int64)
+    tab[1, 2] ^= 1
+    broken = cx.Cocycle2(c.group, 2, tab)
+    (workdir / "broken.json").write_text(
+        fileio.dump_json(fileio.encode_cocycle(broken)))
+    code, payload, err = _run(
+        ["twisted", "assoc-check", "--cocycle", str(workdir / "broken.json")],
+        capsys)
+    _, witness = cx.is_cocycle(broken)
+    assert code == 0 and payload["results"] == {
+        "associative": False, "witness_triple": list(witness)}
+    assert err == f"fails at {witness}\n"
 
 
 def test_cli_orbifold(workdir, capsys):
