@@ -64,14 +64,10 @@ def _beta_scan(c: _cx.Cocycle2, model: LinearActionModel | None
                ) -> MembershipVerdict:
     """First commuting pair (r, h) with beta(r, h) != 0, r an active rep."""
     g = c.group
-    m = c.modulus
-    t = c.table
     for rep_ in _active_representatives(g, model):
         z = _grp.centralizer(g, rep_)
         els = np.array(z.elements, dtype=np.int64)
-        # only these two vectors are widened: an int64 table copy is 8 n^2 bytes
-        beta = (t[rep_, els].astype(np.int64) - t[els, rep_]) % m
-        bad = np.nonzero(beta)[0]
+        bad = np.nonzero(c.beta(rep_, els))[0]
         if len(bad):
             return MembershipVerdict(False, (rep_, int(els[bad[0]])))
     return MembershipVerdict(True, None)
@@ -154,11 +150,10 @@ def in_BG_bicyclic(c: _cx.Cocycle2, model: LinearActionModel) -> BicyclicVerdict
             ok, k_sub, codim = admissible[key]
             if not ok:
                 continue
-            if not _cx.symmetric_on(c, a_sub):
-                tab = c.table
-                els = list(a_sub.elements)
-                pair = next((x, y) for x in els for y in els
-                            if tab[x, y] != tab[y, x])
+            els = np.array(a_sub.elements)
+            asym = np.argwhere(c.beta(els[:, None], els))
+            if len(asym):  # the first asymmetric pair in row-major order
+                pair = tuple(int(x) for x in els[asym[0]])
                 return BicyclicVerdict(
                     False, BicyclicWitness(a_sub, k_sub, codim, pair))
     return BicyclicVerdict(True, None)
@@ -191,36 +186,6 @@ class SpanReport:
     nontrivial_example: tuple[int, ...] | None
 
 
-def _beta_row(c: _cx.Cocycle2, pairs: np.ndarray) -> np.ndarray:
-    a, b = pairs[:, 0], pairs[:, 1]
-    return (c.table[a, b].astype(np.int64) - c.table[b, a]) % c.modulus
-
-
-def _trivial_combinations(basis: list[_cx.Cocycle2]) -> np.ndarray:
-    """Howell form over Z_m of the t with sum t_i c_i a torus coboundary.
-
-    With M = m * exp(G) the torus lift of sum t_i c_i is sum t_i (exp(G) c_i)
-    mod M, so its edge right-hand side is linear in t and "d(lambda) equals
-    it on the edges" is one homogeneous system in (lambda_gens, t) over
-    Z_M. The trivial combinations are the t-projection of its solution
-    module, read mod m.
-    """
-    g = basis[0].group
-    m = basis[0].modulus
-    f = g.exponent()
-    big = m * f
-    gens = list(g.generators)
-    rhs = []
-    for c in basis:
-        edges = c.table[:, gens].astype(np.int64) * f % big
-        _, coef, b = _cx.edge_system(g, edges, big)
-        rhs.append(-b)
-    k = coef.shape[1]
-    system = np.unique(np.column_stack([coef] + rhs) % big, axis=0)
-    solutions = zmlin.right_kernel(system, big)
-    return zmlin.howell_form(solutions[:, k:] % m, m)
-
-
 def span_analysis(basis: list[_cx.Cocycle2],
                   model: LinearActionModel | None = None) -> SpanReport:
     """Locate the obstruction subgroup inside the span of a class catalog.
@@ -250,9 +215,10 @@ def span_analysis(basis: list[_cx.Cocycle2],
                       for h in _grp.centralizer(g, rep_).elements],
                      dtype=np.int64).reshape(-1, 2)
 
-    mat = np.array([_beta_row(c, pairs) for c in basis], dtype=np.int64)
+    mat = np.array([c.beta(pairs[:, 0], pairs[:, 1]) for c in basis])
     kernel_rows = zmlin.left_kernel(mat, m)
-    trivial = _trivial_combinations(basis)
+    trivial = _cx.trivial_combinations(
+        g, np.array([c.table[:, list(g.generators)] for c in basis]), m)
     live = zmlin.howell_reduce(kernel_rows, trivial, m).any(axis=1)
     factors, gens = zmlin.quotient(kernel_rows, trivial, m)
     example = _least_of_maximal_order(factors, gens, trivial, m) \
@@ -304,11 +270,12 @@ class OrbifoldReport:
 
 
 def _invariant_dimension(z: Subgroup, chi: dict[int, CycloNumber],
-                         beta: dict[int, int], m: int) -> int:
-    """dim of the invariants: average of chi(h) * zeta^beta(h) over Z_g."""
+                         beta: list[int], m: int) -> int:
+    """dim of the invariants: average of chi(h) * zeta^beta(h) over Z_g,
+    with beta listed in the order of ``z.elements``."""
     total = CycloNumber.rational(0)
-    for h in z.elements:
-        term = chi[h] * CycloNumber.zeta(m, beta[h]) if m > 1 else chi[h]
+    for h, b in zip(z.elements, beta):
+        term = chi[h] * CycloNumber.zeta(m, b) if m > 1 else chi[h]
         total = total + term
     value = total * Fraction(1, z.order)
     if not value.is_rational():
@@ -341,8 +308,8 @@ def orbifold_dims(model: LinearActionModel, c: _cx.Cocycle2,
     for cls in classes:
         rep_ = int(cls[0])
         z = _grp.centralizer(g, rep_)
-        beta = {int(h): c.beta(rep_, int(h)) for h in z.elements}
-        lchar_trivial = not any(beta.values())
+        beta = c.beta(rep_, np.array(z.elements))
+        lchar_trivial = not beta.any()
         if not flags[rep_]:
             rows.append(OrbifoldRow(rep_, len(cls), False, lchar_trivial, 0, 0))
             continue
@@ -354,8 +321,8 @@ def orbifold_dims(model: LinearActionModel, c: _cx.Cocycle2,
             if missing:
                 raise NonIntegralDimensionError(
                     f"character table missing centralizer elements {missing}")
-            contribution = _invariant_dimension(z, chi, beta, m)
-            untw = _invariant_dimension(z, chi, {h: 0 for h in beta}, m)
+            contribution = _invariant_dimension(z, chi, beta.tolist(), m)
+            untw = _invariant_dimension(z, chi, [0] * z.order, m)
         else:
             contribution = 1 if lchar_trivial else 0
             untw = 1

@@ -107,14 +107,15 @@ def _load_model(path: str, run: _Run):
                                load=run.loader("model"))
 
 
-def _match_group(c: _cx.Cocycle2, group: _grp.FiniteGroup) -> _cx.Cocycle2:
+def _match_group(c: _cx.Cocycle2, group: _grp.FiniteGroup,
+                 message: str = "cocycle group and model group have "
+                                "different Cayley tables") -> _cx.Cocycle2:
     """Rebind a file cocycle onto an equal group built elsewhere."""
     if c.group is group:
         return c
     if c.group.order != group.order or not np.array_equal(
             c.group.mul_table(), group.mul_table()):
-        raise ModulusMismatchError(
-            "cocycle group and model group have different Cayley tables")
+        raise ModulusMismatchError(message)
     return _cx.Cocycle2(group, c.modulus, c.table, _verified=c._verified)
 
 
@@ -227,12 +228,9 @@ def cmd_cocycle_inflate(args) -> int:
     group = _load_group(args.group, run, "total_group")
     ext = _grp.quotient_by_central(group, _grp.subgroup_generated(
         group, _in_group(group, args.central, "--central")))
-    if ext.quotient.order != c.group.order or not np.array_equal(
-            ext.quotient.mul_table(), c.group.mul_table()):
-        raise ModulusMismatchError(
-            "cocycle group does not match the central quotient's Cayley table")
-    rebased = _cx.Cocycle2(ext.quotient, c.modulus, c.table, c._verified)
-    infl = _cx.inflate(rebased, ext)
+    infl = _cx.inflate(_match_group(
+        c, ext.quotient,
+        "cocycle group does not match the central quotient's Cayley table"), ext)
     run.results = {
         "total_order": group.order,
         "quotient_order": ext.quotient.order,

@@ -15,7 +15,6 @@ finite subgroup, so the lift loses nothing).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -57,14 +56,19 @@ class Cocycle2:
         if modulus < 1:
             raise ModulusMismatchError("modulus must be positive")
         n = group.order
-        t = np.asarray(table, dtype=np.int64) % modulus
+        t = table
+        # reduce in the input's integer dtype when it holds the modulus
+        if not (isinstance(t, np.ndarray) and t.dtype.kind in "iu"
+                and np.iinfo(t.dtype).max >= modulus):
+            t = np.asarray(t, dtype=np.int64)
+        t = t % modulus
         if t.shape != (n, n):
             raise NotNormalizedError(f"table shape {t.shape} != ({n}, {n})")
         if t[0].any() or t[:, 0].any():
             raise NotNormalizedError("table is not normalized: c(1,g) = c(g,1) = 0")
         self.group = group
         self.modulus = modulus
-        self.table = t.astype(_dtype_for(modulus))
+        self.table = t.astype(_dtype_for(modulus), copy=False)
         self._verified = _verified
 
     @classmethod
@@ -76,17 +80,10 @@ class Cocycle2:
     def value(self, g: int, h: int) -> int:
         return int(self.table[g, h])
 
-    def beta(self, g: int, h: int) -> int:
-        """c(g,h) - c(h,g); meaningful on commuting pairs."""
-        return int(self.table[g, h] - self.table[h, g]) % self.modulus
-
-    def lift(self, modulus: int) -> "Cocycle2":
-        if modulus % self.modulus:
-            raise ModulusMismatchError(
-                f"cannot lift modulus {self.modulus} to {modulus}")
-        f = modulus // self.modulus
-        return Cocycle2(self.group, modulus,
-                        self.table.astype(np.int64) * f, self._verified)
+    def beta(self, g, h):
+        """c(g,h) - c(h,g) mod m, elementwise over index arrays; meaningful
+        on commuting pairs."""
+        return (self.table[g, h].astype(np.int64) - self.table[h, g]) % self.modulus
 
     def _check_compatible(self, other: "Cocycle2"):
         if self.group is not other.group:
@@ -237,64 +234,62 @@ def coboundary_of(lam: Cochain1) -> Cocycle2:
 # coboundary decision procedure
 
 
-def _bfs_words(g: FiniteGroup) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Generator-count vectors and BFS parents for every element.
-
-    counts[x] says how many times each generator occurs in the BFS word for
-    x; parents[x] = (y, j) with x = y * gen_j (identity has no parent).
-    """
-    if "bfs_words" in g._cache:
-        return g._cache["bfs_words"]
-    gens = list(g.generators)
-    k = len(gens)
-    n = g.order
-    counts = np.zeros((n, k), dtype=np.int64)
-    parents: list[tuple[int, int]] = [(-1, -1)] * n
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = [0]
-    while queue:
-        nxt = []
-        for x in queue:
-            for j, s in enumerate(gens):
-                y = g.mul(x, s)
-                if not seen[y]:
-                    seen[y] = True
-                    counts[y] = counts[x]
-                    counts[y, j] += 1
-                    parents[y] = (x, j)
-                    nxt.append(y)
-        queue = nxt
-    if not seen.all():
-        raise NotAGroupError("generators do not generate the group")
-    g._cache["bfs_words"] = (counts, parents)
-    return counts, parents
+def _word_counts(g: FiniteGroup) -> np.ndarray:
+    """counts[x, j]: how often gen_j occurs in x's word along the BFS tree."""
+    if "word_counts" not in g._cache:
+        tree = _grp.cayley_tree(g)
+        counts = np.zeros((g.order, len(g.generators)), dtype=np.int64)
+        for lvl in tree.levels[1:]:
+            counts[lvl] = counts[tree.parent[lvl]]
+            counts[lvl, tree.letter[lvl]] += 1
+        g._cache["word_counts"] = counts
+    return g._cache["word_counts"]
 
 
 def edge_system(g: FiniteGroup, edges: np.ndarray, modulus: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edge constraints d(lambda) = c over Z_modulus.
 
-    ``edges`` holds the generator columns of c, edges[a, j] = c(a, gen_j).
-    Along a BFS spanning tree lambda(x) = off[x] + counts[x] . lambda_gens,
-    and d(lambda) agrees with c on the n*k edges (a, gen_j) exactly when
-    coef @ lambda_gens == rhs. Returns (off, coef, rhs); coef does not
-    depend on c and rhs is linear in it.
+    ``edges`` holds the generator columns of c, edges[a, j] = c(a, gen_j),
+    or a stack of them with leading axes. Along the group's BFS tree
+    lambda(x) = off[x] + counts[x] . lambda_gens, and d(lambda) agrees with
+    c on the n*k edges (a, gen_j) exactly when coef @ lambda_gens == rhs.
+    Returns (off, coef, rhs) with the leading axes of ``edges`` on off and
+    rhs; coef does not depend on c and rhs is linear in it.
     """
     n = g.order
-    counts, parents = _bfs_words(g)
+    tree = _grp.cayley_tree(g)
+    counts = _word_counts(g)
     k = counts.shape[1]
     gens = list(g.generators)
-    off = np.zeros(n, dtype=np.int64)
-    for x in np.argsort(counts.sum(axis=1), kind="stable"):
-        y, j = parents[x]
-        if y < 0:
-            continue
-        off[x] = (off[y] - edges[y, j]) % modulus
+    off = np.zeros(edges.shape[:-1], dtype=np.int64)
+    for lvl in tree.levels[1:]:
+        par = tree.parent[lvl]
+        off[..., lvl] = (off[..., par] - edges[..., par, tree.letter[lvl]]) % modulus
     prod = g.mul_table()[:, gens]
     coef = (counts[:, None] + counts[gens] - counts[prod]) % modulus
-    rhs = (edges - off[:, None] - off[gens][None, :] + off[prod]) % modulus
-    return off, coef.reshape(n * k, k), rhs.reshape(n * k)
+    rhs = (edges - off[..., :, None] - off[..., None, gens] + off[..., prod]) % modulus
+    return off, coef.reshape(n * k, k), rhs.reshape(*edges.shape[:-2], n * k)
+
+
+def trivial_combinations(g: FiniteGroup, edges: np.ndarray, modulus: int
+                         ) -> np.ndarray:
+    """Howell form over Z_m of the t with sum t_i c_i a torus coboundary.
+
+    ``edges[i]`` holds the generator columns of the Z_m-cocycle c_i. With
+    M = m * exp(G) the torus lift of sum t_i c_i is sum t_i (exp(G) c_i)
+    mod M, so its edge right-hand side is linear in t and "d(lambda) equals
+    it on the edges" is one homogeneous system in (lambda_gens, t) over
+    Z_M. The trivial combinations are the t-projection of its solution
+    module, read mod m.
+    """
+    f = g.exponent()
+    big = modulus * f
+    _, coef, rhs = edge_system(g, np.asarray(edges, dtype=np.int64) * f, big)
+    k = coef.shape[1]
+    system = np.unique(np.column_stack([coef, -rhs.T]) % big, axis=0)
+    solutions = zmlin.right_kernel(system, big)
+    return zmlin.howell_form(solutions[:, k:] % modulus, modulus)
 
 
 def is_coboundary(c: Cocycle2, sense: str = "torus") -> Cochain1 | None:
@@ -315,24 +310,20 @@ def is_coboundary(c: Cocycle2, sense: str = "torus") -> Cochain1 | None:
     if sense not in ("torus", "mod-m"):
         raise ValueError(f"unknown sense {sense!r}")
     g = c.group
-    if sense == "torus":
-        m_target = c.modulus * g.exponent()
-        lifted = c.lift(m_target)
-    else:
-        m_target = c.modulus
-        lifted = c
-    table = lifted.table.astype(np.int64)
-    off, coef, rhs = edge_system(g, table[:, list(g.generators)], m_target)
+    f = g.exponent() if sense == "torus" else 1
+    big = c.modulus * f
+    # exponents in [0, m) times f stay below M = m * f: no reduction needed
+    edges = c.table[:, list(g.generators)].astype(np.int64) * f
+    off, coef, rhs = edge_system(g, edges, big)
     k = coef.shape[1]
     system = np.unique(np.column_stack([coef, rhs]), axis=0)
-    sol = zmlin.solve(system[:, :k], system[:, k], m_target)
+    sol = zmlin.solve(system[:, :k], system[:, k], big)
     if sol is None:
         return None
-    counts, _ = _bfs_words(g)
-    lam = (off + counts @ sol[0]) % m_target
-    witness = Cochain1(g, m_target, lam)
-    assert np.array_equal(coboundary_of(witness).table.astype(np.int64),
-                          table % m_target)
+    lam = (off + _word_counts(g) @ sol[0]) % big
+    witness = Cochain1(g, big, lam)
+    assert np.array_equal(coboundary_of(witness).table,
+                          c.table.astype(np.int64) * f)
     return witness
 
 
@@ -478,43 +469,16 @@ def antisym(c: Cocycle2, g: int, h: int) -> int:
     if grp_.mul(g, h) != grp_.mul(h, g):
         raise NonCommutingPairError(f"elements {g}, {h} do not commute",
                                     witness=(g, h))
-    return c.beta(g, h)
+    return int(c.beta(g, h))
 
 
 def symmetric_on(c: Cocycle2, a: Subgroup) -> bool:
-    els = list(a.elements)
-    sub = c.table[np.ix_(els, els)]
-    return bool((((sub - sub.T) % c.modulus) == 0).all())
+    els = np.array(a.elements)
+    return not c.beta(els[:, None], els).any()
 
 
 # ---------------------------------------------------------------------------
 # brute-force H^2 for small groups
-
-
-def _character_generators(g: FiniteGroup, modulus: int) -> list[np.ndarray]:
-    """Generators of Hom(G, Z_modulus), as value vectors over G."""
-    commutators = sorted({g.commutator(a, b)
-                          for a in range(g.order) for b in range(g.order)})
-    derived = _grp.subgroup_generated(g, commutators)
-    quot, proj, _sec = _grp.quotient_by_normal(g, derived)
-    structure = _grp.abelian_structure(quot)
-    out = []
-    for i, d in enumerate(structure.invariant_factors):
-        step = modulus // gcd(d, modulus)
-        if step == modulus:
-            continue
-        vals = np.array([(structure.dlog[int(proj[x])][i] * step) % modulus
-                         for x in range(g.order)], dtype=np.int64)
-        out.append(vals)
-    return out
-
-
-def _bockstein(chi: np.ndarray, mul: np.ndarray, modulus: int) -> np.ndarray:
-    """delta(chi)(g,h) = (chi(g) + chi(h) - chi(gh)) / modulus via integer lifts."""
-    lift = chi % modulus
-    carry = lift[:, None] + lift[None, :] - lift[mul]
-    assert (carry % modulus == 0).all()
-    return (carry // modulus) % modulus
 
 
 def _edge_parametrization(g: FiniteGroup) -> np.ndarray:
@@ -524,19 +488,17 @@ def _edge_parametrization(g: FiniteGroup) -> np.ndarray:
     so the whole table is an integer-linear function of the edge unknowns
     e[x, j] = c(x, gen_j); identities whose third argument is a generator
     imply the rest by induction on word length. Returns V with V[g, h] the
-    coefficient vector of c(g, h) in the n*k edge unknowns, built along a
-    BFS tree of the second argument.
+    coefficient vector of c(g, h) in the n*k edge unknowns, built level by
+    level along the BFS tree of the second argument.
     """
     n = g.order
     k = len(g.generators)
     mul = g.mul_table().astype(np.int64)
-    counts, parents = _bfs_words(g)
+    tree = _grp.cayley_tree(g)
     v = np.zeros((n, n, n * k), dtype=np.int64)
-    rows = np.arange(n)
-    for w in sorted(range(n), key=lambda x: int(counts[x].sum())):
-        h, j = parents[w]
-        if h < 0:
-            continue  # the identity column stays zero
+    rows = np.arange(n)[:, None]
+    for w in tree.levels[1:]:  # the identity column stays zero
+        h, j = tree.parent[w], tree.letter[w]
         v[:, w, :] = v[:, h, :]
         v[rows, w, mul[:, h] * k + j] += 1
         v[:, w, h * k + j] -= 1
@@ -549,12 +511,12 @@ def h2_small(g: FiniteGroup, cap: int = H2_DEFAULT_CAP
 
     Solves the degree-2 cocycle identity as a linear system over Z_m with
     m = |G| (the multiplier's exponent divides |G|, so mu_m sees every
-    class), then quotients by coboundaries together with the Bockstein
-    classes of Z_m-characters: the latter are exactly the classes that die
-    with circle coefficients, so the result is H^2(G, C^*). The system is
-    pre-reduced to the edge unknowns c(x, gen_j) along a BFS tree, and
-    ``zmlin.quotient`` presents cocycles / killers by a Smith form. Returns
-    the invariant factors (largest first) and one representative per factor.
+    class), then quotients by the cocycles that die with circle
+    coefficients, found by ``trivial_combinations``, so the result is
+    H^2(G, C^*). The system is pre-reduced to the edge unknowns
+    c(x, gen_j) along a BFS tree, and ``zmlin.quotient`` presents cocycles /
+    trivial ones by a Smith form. Returns the invariant factors (largest
+    first) and one representative per factor.
     """
     n = g.order
     if n > cap:
@@ -582,23 +544,11 @@ def h2_small(g: FiniteGroup, cap: int = H2_DEFAULT_CAP
         pins[j, j] = 1  # normalization: c(1, gen_j) = 0
     system = np.unique(np.vstack(blocks + [pins]), axis=0)
     k_rows = zmlin.right_kernel(system, m)
+    # row x * k + j of a cocycle's edge vector is c(x, gen_j)
+    trivial = trivial_combinations(g, k_rows.reshape(-1, n, k), m)
+    killers = zmlin.howell_form(trivial @ k_rows, m)
 
-    def edge_coords(tab: np.ndarray) -> np.ndarray:
-        out = np.empty(width, dtype=np.int64)
-        for j, s in enumerate(gens):
-            out[rows * k + j] = tab[:, s]
-        return out % m
-
-    # subgroup to kill: coboundaries and Bockstein classes
-    killers: list[np.ndarray] = []
-    for x in range(1, n):
-        lam = np.zeros(n, dtype=np.int64)
-        lam[x] = 1
-        killers.append(edge_coords((lam[:, None] + lam[None, :] - lam[mul]) % m))
-    for chi in _character_generators(g, m):
-        killers.append(edge_coords(_bockstein(chi, mul, m)))
-
-    factors, sols = zmlin.quotient(k_rows, np.array(killers), m)
+    factors, sols = zmlin.quotient(k_rows, killers, m)
     reps = []
     for sol in sols:
         rep = Cocycle2(g, m, np.einsum("ghx,x->gh", v, sol) % m)

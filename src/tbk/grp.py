@@ -248,7 +248,8 @@ def _validate_group(g: FiniteGroup) -> None:
     group. Associativity is decided by Light's test: the elements a with
     (xa)y = x(ay) for all x, y form a submagma, so once the declared
     generators are known to generate, checking them in the middle decides
-    every triple at k * n^2 cost.
+    every triple at k * n^2 cost. Whether they generate is read off the walk
+    of ``cayley_tree``, which the group keeps.
     """
     mul = g._mul
     n = g.order
@@ -256,9 +257,7 @@ def _validate_group(g: FiniteGroup) -> None:
         raise NotAGroupError("table entry out of range")
     if (mul[0] != np.arange(n)).any() or (mul[:, 0] != np.arange(n)).any():
         raise NotAGroupError("index 0 is not a two-sided identity")
-    gen_set = _closure_in_table(mul, list(g.generators) or [0])
-    if len(gen_set) != n:
-        raise NotAGroupError("declared generators do not generate the group")
+    cayley_tree(g)
     # row blocks keep the gathered arrays at block x n entries
     for s in g.generators:
         s_row = mul[s]
@@ -270,6 +269,51 @@ def _validate_group(g: FiniteGroup) -> None:
                 witness = (lo + int(x), int(s), int(y))
                 raise NotAGroupError(f"associativity fails at {witness}",
                                      witness=witness)
+
+
+@dataclass(frozen=True)
+class CayleyTree:
+    """Breadth-first spanning tree of the Cayley graph, rooted at the identity.
+
+    ``levels`` holds the elements by word length, each level in the order the
+    walk found them; every x != 0 is parent[x] * generators[letter[x]].
+    """
+
+    levels: tuple[np.ndarray, ...]
+    parent: np.ndarray
+    letter: np.ndarray
+
+
+def cayley_tree(g: FiniteGroup) -> CayleyTree:
+    """The group's BFS tree over its declared generators, walked once.
+
+    The walk takes each level's elements in order and each element's
+    generators in declared order. It raises ``NotAGroupError`` when the
+    generators do not generate; a validated group has walked it already.
+    """
+    if "tree" in g._cache:
+        return g._cache["tree"]
+    n = g.order
+    rows = g._mul[:, list(g.generators)].tolist()
+    parent = [-1] * n
+    letter = [-1] * n
+    parent[0] = 0
+    level, levels = [0], []
+    while level:
+        levels.append(np.array(level))
+        nxt = []
+        for x in level:
+            for j, y in enumerate(rows[x]):
+                if parent[y] < 0:
+                    parent[y] = x
+                    letter[y] = j
+                    nxt.append(y)
+        level = nxt
+    if sum(map(len, levels)) != n:
+        raise NotAGroupError("declared generators do not generate the group")
+    tree = CayleyTree(tuple(levels), np.array(parent), np.array(letter))
+    g._cache["tree"] = tree
+    return tree
 
 
 def _closure_in_table(mul: np.ndarray, seed: Sequence[int]) -> list[int]:

@@ -211,7 +211,7 @@ def reference_span_analysis(basis, model=None) -> br.SpanReport:
         pair_list.extend((rep_, int(h)) for h in z.elements)
     pairs = np.array(pair_list, dtype=np.int64).reshape(-1, 2)
 
-    mat = np.array([br._beta_row(c, pairs) for c in basis], dtype=np.int64)
+    mat = np.array([c.beta(pairs[:, 0], pairs[:, 1]) for c in basis], dtype=np.int64)
     kernel_rows = zmlin.left_kernel(mat, m)
 
     def combo(vec) -> cx.Cocycle2:

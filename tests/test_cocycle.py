@@ -9,12 +9,15 @@ import pytest
 
 from tbk import cocycle as cx
 from tbk import grp, zmlin
+from tbk.brauer import span_analysis
 from tbk.errors import (
     DefectOutsideKernelError,
     IllDefinedFormError,
     InfeasibleError,
+    ModulusMismatchError,
     NonCommutingPairError,
     NotAHomomorphismError,
+    NotNormalizedError,
 )
 
 
@@ -655,15 +658,29 @@ def test_extension_cocycle_independent_of_section():
     assert cx.is_coboundary(diff, sense="torus") is not None
 
 
-def test_h2_small_known_nonabelian_multipliers():
-    # dihedral group of order 8 and the alternating group on 4 letters both
-    # have multiplier Z_2; the triple product picks up one Z_2 per pair
+def dihedral8() -> grp.FiniteGroup:
     from tbk.cyclo import CycloMatrix
     import tbk.rep as rp
 
     d4, _ = rp.matrix_closure(
         [CycloMatrix([[0, -1], [1, 0]]), CycloMatrix([[1, 0], [0, -1]])])
-    structure, _ = cx.h2_small(d4)
+    return d4
+
+
+def alternating4() -> grp.FiniteGroup:
+    perms = sorted(
+        p for p in itertools.permutations(range(4))
+        if sum(1 for i in range(4) for j in range(i) if p[j] > p[i]) % 2 == 0)
+    index = {p: i for i, p in enumerate(perms)}
+    return grp.build_from_cayley(
+        [[index[tuple(p[q[i]] for i in range(4))] for q in perms]
+         for p in perms])
+
+
+def test_h2_small_known_nonabelian_multipliers():
+    # dihedral group of order 8 and the alternating group on 4 letters both
+    # have multiplier Z_2; the triple product picks up one Z_2 per pair
+    structure, _ = cx.h2_small(dihedral8())
     assert structure.invariant_factors == (2,)
 
     triple = grp.direct_product(
@@ -671,13 +688,88 @@ def test_h2_small_known_nonabelian_multipliers():
     structure, _ = cx.h2_small(triple)
     assert structure.invariant_factors == (2, 2, 2)
 
-    perms = sorted(
-        p for p in itertools.permutations(range(4))
-        if sum(1 for i in range(4) for j in range(i) if p[j] > p[i]) % 2 == 0)
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[i]] for i in range(4))] for q in perms]
-             for p in perms]
-    a4 = grp.build_from_cayley(table)
-    structure, reps = cx.h2_small(a4)
+    structure, reps = cx.h2_small(alternating4())
     assert structure.invariant_factors == (2,)
     assert cx.is_coboundary(reps[0], sense="torus") is None
+
+
+def _h2_test_groups():
+    """Every group the h2_small tests above take, by name."""
+    import tests.test_grp as tg
+
+    c, dp = grp.cyclic, grp.direct_product
+    out = {f"Z{n}": c(n) for n in range(1, 13)}
+    out.update({f"Z{a}xZ{b}": dp(c(a), c(b))
+                for a in range(2, 17) for b in range(a, 17) if a * b <= 32})
+    out.update({"Z2^3": dp(dp(c(2), c(2)), c(2)),
+                "Z2xZ2xZ4": dp(dp(c(2), c(2)), c(4)),
+                "Q8": tg.q8_group(), "D4": dihedral8(), "A4": alternating4()})
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_h2_test_groups()))
+def test_h2_small_representatives_have_the_order_of_their_factor(name):
+    g = _h2_test_groups()[name]
+    structure, reps = cx.h2_small(g)
+    assert len(reps) == len(structure.invariant_factors)
+    for d, rep in zip(structure.invariant_factors, reps):
+        for k in range(1, d):
+            assert cx.is_coboundary(rep.scale(k), sense="torus") is None, (d, k)
+        assert cx.is_coboundary(rep.scale(d), sense="torus") is not None
+
+
+def test_b0_vanishes_on_small_groups_with_nonzero_h2():
+    # B0 = 0 for abelian groups and for every group of order <= 32
+    # (Chu-Hu-Kang-Prokhorov 2008): the H^2 representatives span H^2, and
+    # none of their nontrivial combinations vanishes on all commuting pairs
+    import tests.test_grp as tg
+
+    c, dp = grp.cyclic, grp.direct_product
+    groups = [dp(dp(c(2), c(2)), c(2)), dp(c(4), c(4)),
+              dp(dp(c(2), c(4)), c(4)), alternating4(),
+              dp(tg.q8_group(), c(2)), dp(dihedral8(), c(2))]
+    for g in groups:
+        structure, reps = cx.h2_small(g)
+        assert structure.invariant_factors != ()
+        assert span_analysis(reps).invariant_factors == ()
+
+
+def _old_stored_table(table, modulus: int) -> np.ndarray:
+    """The reference: reduce in int64, then narrow to the stored dtype."""
+    return (np.asarray(table, dtype=np.int64) % modulus).astype(
+        cx._dtype_for(modulus))
+
+
+def test_cocycle2_stores_the_same_table_from_any_integer_input():
+    g = klein()
+    raw = [[0, 0, 0, 0], [0, 1, -1, 5], [0, 7, 2, -3], [0, 0, 9, 127]]
+    for m in (1, 2, 3, 127, 128, 200, 32_767, 40_000):
+        want = _old_stored_table(raw, m)
+        inputs = [raw, *(np.array(raw, dtype=dt)
+                         for dt in (np.int8, np.int16, np.int64))]
+        for table in inputs:
+            before = np.array(table, copy=True)
+            got = cx.Cocycle2(g, m, table).table
+            assert got.dtype == want.dtype and np.array_equal(got, want), \
+                (m, getattr(table, "dtype", "list"))
+            assert np.array_equal(np.asarray(table), before)
+            assert not np.shares_memory(got, np.asarray(table))
+
+
+def test_cocycle2_rejects_alike_whatever_the_input_dtype():
+    g = klein()
+    unnormalized = [[0, 0, 0, 0], [0, 1, 0, 0], [3, 0, 0, 0], [0, 0, 0, 0]]
+    wrapped = [[0, 0, 0, 3], [0, 1, 0, 0], [-3, 0, 0, 0], [0, 0, 0, 0]]
+    for dt in (None, np.int8, np.int16, np.int64):
+        def arr(t):
+            return t if dt is None else np.array(t, dtype=dt)
+        with pytest.raises(NotNormalizedError,
+                           match=r"table shape \(3, 3\) != \(4, 4\)"):
+            cx.Cocycle2(g, 3, arr([[0] * 3] * 3))
+        with pytest.raises(NotNormalizedError, match="not normalized"):
+            cx.Cocycle2(g, 5, arr(unnormalized))
+        with pytest.raises(ModulusMismatchError, match="must be positive"):
+            cx.Cocycle2(g, 0, arr(unnormalized))
+        # entries that reduce to 0 mod m normalize the table
+        assert np.array_equal(cx.Cocycle2(g, 3, arr(wrapped)).table,
+                              _old_stored_table(wrapped, 3))

@@ -292,6 +292,61 @@ def test_a_b0_member_scan_builds_no_generators(bundle_p2, monkeypatch):
     assert calls == [grp.centralizer(g, 1).order]
 
 
+def test_a_group_file_walks_its_cayley_graph_once(bundle_p2, monkeypatch,
+                                                  tmp_path):
+    import json
+
+    from tbk import brauer, fileio
+    from tbk import cocycle as cx
+
+    path = tmp_path / "group.json"
+    path.write_text(fileio.dump_json(fileio.encode_group(bundle_p2.group)))
+    walks = []
+    tree, closure = grp.CayleyTree, grp._closure_in_table
+
+    def counted_tree(levels, parent, letter):
+        walks.append(("tree", len(parent)))
+        return tree(levels, parent, letter)
+
+    def counted_closure(mul, seed):
+        out = closure(mul, seed)
+        if len(out) == len(mul):  # a closure that walks the whole graph
+            walks.append(("closure", len(out)))
+        return out
+
+    monkeypatch.setattr(grp, "CayleyTree", counted_tree)
+    monkeypatch.setattr(grp, "_closure_in_table", counted_closure)
+    g = fileio.decode_group(json.loads(path.read_text()))
+    assert walks == [("tree", 128)]
+    forms = [cx.Cocycle2(g, 2, bundle_p2.cocycle(f"e{ij}").table)
+             for ij in ("12", "13", "14", "23", "24", "34")]
+    for c in forms:
+        for sense in ("torus", "mod-m"):
+            cx.is_coboundary(c, sense=sense)
+    assert brauer.span_analysis(forms).invariant_factors == (2,)
+    assert walks == [("tree", 128)]
+
+
+def test_cayley_tree_is_the_bfs_over_declared_generators():
+    g = grp.direct_product(grp.cyclic(3), grp.cyclic(4))
+    gens = g.generators
+    queue, parent, letter = [0], {}, {}
+    for x in queue:  # appending while iterating walks breadth first
+        for j, s in enumerate(gens):
+            y = g.mul(x, s)
+            if y != 0 and y not in parent:
+                parent[y], letter[y] = x, j
+                queue.append(y)
+    tree = grp.cayley_tree(g)
+    assert np.concatenate(tree.levels).tolist() == queue
+    assert all(tree.parent[y] == x for y, x in parent.items())
+    assert all(tree.letter[y] == j for y, j in letter.items())
+    # a group built without validation walks it on first use, once
+    assert grp.cayley_tree(g) is tree
+    with pytest.raises(NotAGroupError, match="do not generate"):
+        grp.FiniteGroup(g.mul_table(), [gens[0]])
+
+
 def test_commuting_pairs_klein():
     v4 = grp.direct_product(grp.cyclic(2), grp.cyclic(2))
     pairs = list(grp.commuting_pairs(v4))
