@@ -46,6 +46,14 @@ def _dtype_for(modulus: int):
     return np.int64
 
 
+def _unsigned_holding(top: int):
+    """The narrowest unsigned integer dtype that holds 0..top, or object."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return object
+
+
 class Cocycle2:
     """Normalized 2-cocycle exponent table on a finite group."""
 
@@ -57,18 +65,23 @@ class Cocycle2:
             raise ModulusMismatchError("modulus must be positive")
         n = group.order
         t = table
-        # reduce in the input's integer dtype when it holds the modulus
+        # work in the input's integer dtype when it holds the modulus
         if not (isinstance(t, np.ndarray) and t.dtype.kind in "iu"
                 and np.iinfo(t.dtype).max >= modulus):
             t = np.asarray(t, dtype=np.int64)
-        t = t % modulus
+        # most tables arrive reduced: only one with an entry outside [0, m)
+        # pays for the remainder
+        if t.size and (t.min() < 0 or t.max() >= modulus):
+            t = t % modulus
         if t.shape != (n, n):
             raise NotNormalizedError(f"table shape {t.shape} != ({n}, {n})")
         if t[0].any() or t[:, 0].any():
             raise NotNormalizedError("table is not normalized: c(1,g) = c(g,1) = 0")
         self.group = group
         self.modulus = modulus
-        self.table = t.astype(_dtype_for(modulus), copy=False)
+        # never the caller's array
+        self.table = t.astype(_dtype_for(modulus), copy=isinstance(
+            table, np.ndarray) and np.may_share_memory(t, table))
         self._verified = _verified
 
     @classmethod
@@ -92,22 +105,36 @@ class Cocycle2:
             raise ModulusMismatchError(
                 f"moduli differ: {self.modulus} vs {other.modulus}")
 
+    # Sums, negatives and multiples are computed in the narrowest unsigned
+    # dtype that holds their unreduced values. There m - 1 + 1 wraps
+    # nowhere, and for s < m the difference s - m wraps above s, so
+    # minimum(s, s - m) is s reduced from [0, 2m) to [0, m).
+
     def __add__(self, other: "Cocycle2") -> "Cocycle2":
         self._check_compatible(other)
-        t = (self.table.astype(np.int64) + other.table) % self.modulus
-        return Cocycle2(self.group, self.modulus, t,
-                        self._verified and other._verified)
+        m = self.modulus
+        dtype = _unsigned_holding(2 * (m - 1))
+        t = self.table.astype(dtype)
+        t += other.table.astype(dtype, copy=False)
+        np.minimum(t, t - dtype(m), out=t)
+        return Cocycle2(self.group, m, t, self._verified and other._verified)
 
     def __sub__(self, other: "Cocycle2") -> "Cocycle2":
         return self + (-other)
 
     def __neg__(self) -> "Cocycle2":
-        t = (-self.table.astype(np.int64)) % self.modulus
-        return Cocycle2(self.group, self.modulus, t, self._verified)
+        m = self.modulus
+        dtype = _unsigned_holding(m)
+        t = self.table.astype(dtype)
+        np.minimum(dtype(m) - t, np.negative(t, out=t), out=t)
+        return Cocycle2(self.group, m, t, self._verified)
 
     def scale(self, k: int) -> "Cocycle2":
-        t = (self.table.astype(np.int64) * k) % self.modulus
-        return Cocycle2(self.group, self.modulus, t, self._verified)
+        m = self.modulus
+        t = self.table.astype(_unsigned_holding((m - 1) ** 2))
+        t *= k % m
+        t %= m
+        return Cocycle2(self.group, m, t, self._verified)
 
     def __eq__(self, other):
         if not isinstance(other, Cocycle2):

@@ -22,6 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from . import _jobs
 from . import grp as _grp
 from . import rep as _rep
 from .cocycle import Cocycle2
@@ -310,18 +311,18 @@ def encode_model(model: LinearActionModel, generator_indices) -> dict:
 
 _TABLE_KEYS = frozenset(("cayley", "table"))
 _SCAN = json.JSONDecoder().scan_once  # the C scanner json.loads runs
-_WS = json.decoder.WHITESPACE.match
+_WS = re.compile(rb"[ \t\n\r]*").match  # json's whitespace
 _BEFORE_ROWS = re.compile(rb"\[[ \t\n\r]*\[")
 _BETWEEN_ROWS = re.compile(rb"[ \t\n\r]*,[ \t\n\r]*\[")
 _AFTER_ROWS = re.compile(rb"[ \t\n\r]*\]")
 _NOT_SKELETON = b"0123456789 \t\n\r"
 # a table is read in blocks: its skeleton in slices of this many bytes of
 # the file, its values in runs of whole rows whose buffers take about this
-# many bytes
+# many bytes, shared among the worker threads that read them
 TABLE_BLOCK_BYTES = 1 << 20
 # the int64 array read from the file plus build_from_cayley's int32 copy (a
-# cocycle's copy is smaller); the reader's block buffers, under two
-# TABLE_BLOCK_BYTES, and the file's bytes and str are not counted
+# cocycle's copy is smaller); the file's bytes and the reader's block
+# buffers, under two TABLE_BLOCK_BYTES in all, are not counted
 _ENTRY_BYTES = 8 + 4
 
 
@@ -329,47 +330,70 @@ class _Irregular(Exception):
     """The text leaves the table reader's grammar: json.loads reads it."""
 
 
-def _document(text: str, data: bytes) -> dict:
+def _document(data: bytes) -> dict:
     """An ASCII JSON object, each table value read by ``_table``."""
     oversize: list[str] = []
-    i = _WS(text, 0).end()
-    if not text.startswith("{", i):
+    i = _WS(data, 0).end()
+    if not data.startswith(b"{", i):
         raise _Irregular
-    obj, i = _object(text, data, i, oversize)
-    if _WS(text, i).end() != len(text):
+    obj, i = _object(data, i, oversize)
+    if _WS(data, i).end() != len(data):
         raise _Irregular
     if oversize:
         raise InfeasibleError(oversize[0])
     return obj
 
 
-def _object(text: str, data: bytes, i: int, oversize: list[str]
-            ) -> tuple[dict, int]:
-    """The object whose "{" is text[i], and the offset after it."""
+def _object(data: bytes, i: int, oversize: list[str]) -> tuple[dict, int]:
+    """The object whose "{" is data[i], and the offset after it."""
     obj = {}
-    i = _WS(text, i + 1).end()
-    if text.startswith("}", i):
+    i = _WS(data, i + 1).end()
+    if data.startswith(b"}", i):
         return obj, i + 1
     while True:
-        if not text.startswith('"', i):
+        if not data.startswith(b'"', i):
             raise _Irregular
-        key, i = json.decoder.scanstring(text, i + 1)
-        i = _WS(text, i).end()
-        if not text.startswith(":", i):
+        key, i = _scan(data, i)
+        i = _WS(data, i).end()
+        if not data.startswith(b":", i):
             raise _Irregular
-        i = _WS(text, i + 1).end()
-        if text.startswith("{", i):
-            obj[key], i = _object(text, data, i, oversize)
-        elif key in _TABLE_KEYS and text.startswith("[", i):
+        i = _WS(data, i + 1).end()
+        if data.startswith(b"{", i):
+            obj[key], i = _object(data, i, oversize)
+        elif key in _TABLE_KEYS and data.startswith(b"[", i):
             obj[key], i = _table(data, i, oversize)
         else:
-            obj[key], i = _SCAN(text, i)
-        i = _WS(text, i).end()
-        if text.startswith("}", i):
+            obj[key], i = _scan(data, i)
+        i = _WS(data, i).end()
+        if data.startswith(b"}", i):
             return obj, i + 1
-        if not text.startswith(",", i):
+        if not data.startswith(b",", i):
             raise _Irregular
-        i = _WS(text, i + 1).end()
+        i = _WS(data, i + 1).end()
+
+
+def _scan(data: bytes, i: int) -> tuple[Any, int]:
+    """The JSON value at data[i], and the offset after it, by json's scanner.
+
+    The scanner reads a str, so it is handed a window of the text from i,
+    widened until the value ends at least three characters before the
+    window does: a number's scan looks at most that far past its end (for
+    "e+" and a digit), and anything else left open at the window's end
+    fails to scan. So only the pieces of text outside the tables are ever
+    decoded.
+    """
+    width = 256
+    while True:
+        piece = data[i:i + width].decode("ascii")
+        whole = i + width >= len(data)
+        try:
+            value, k = _SCAN(piece, 0)
+            if whole or k + 3 <= len(piece):
+                return value, i + k
+        except (ValueError, StopIteration):
+            if whole:
+                raise
+        width *= 4
 
 
 def _table(data: bytes, i: int, oversize: list[str]
@@ -389,7 +413,10 @@ def _table(data: bytes, i: int, oversize: list[str]
     - each row block holds one canonical integer per entry: see
       ``_entries``.
     The table is read straight from ``data`` in blocks of about
-    ``TABLE_BLOCK_BYTES``. The n x n int64 result is allocated once and
+    ``TABLE_BLOCK_BYTES`` divided by the number of CPUs. Each block's
+    values are parsed on a worker thread as soon as its row gaps are
+    matched, while this thread matches the next ones (see
+    ``_jobs.run_in_order``). The n x n int64 result is allocated once and
     filled block by block; no copy of the whole table's text, and no mask
     or buffer of its size, is made.
     """
@@ -417,24 +444,35 @@ def _table(data: bytes, i: int, oversize: list[str]
     out = np.empty((n, n), dtype=np.int64)
     # a row block ends past a third of a block of text or at half a block
     # of values, so that neither the text three times over nor the text
-    # and its values pass a block by more than a row
-    max_text = TABLE_BLOCK_BYTES // 3
-    max_rows = max(1, TABLE_BLOCK_BYTES // (16 * n))
-    pos, gap, lo = i, _BEFORE_ROWS, 0
-    for r in range(n):
-        m = gap.match(data, pos, end)
-        if m is None:
+    # and its values pass a block by more than a row. The workers' blocks
+    # divide one block among them, so that those in flight, one per worker
+    # and the last on this thread, stay under two blocks
+    workers = _jobs.cpus()
+    max_text = TABLE_BLOCK_BYTES // (3 * workers)
+    max_rows = max(1, TABLE_BLOCK_BYTES // (16 * n * workers))
+
+    def blocks():
+        pos, gap, lo = i, _BEFORE_ROWS, 0
+        for r in range(n):
+            m = gap.match(data, pos, end)
+            if m is None:
+                raise _Irregular
+            if r == lo:
+                start = m.end()
+            pos, gap = data.index(b"]", m.end(), end) + 1, _BETWEEN_ROWS
+            if r + 1 == n or r + 1 - lo == max_rows or pos - start > max_text:
+                yield out[lo:r + 1], data, start, pos - 1
+                lo = r + 1
+        if not _AFTER_ROWS.fullmatch(data, pos, end):
             raise _Irregular
-        if r == lo:
-            start = m.end()
-        pos, gap = data.index(b"]", m.end(), end) + 1, _BETWEEN_ROWS
-        if r + 1 == n or r + 1 - lo == max_rows or pos - start > max_text:
-            out[lo:r + 1] = _entries(data, start, pos - 1,
-                                     (r + 1 - lo) * n).reshape(-1, n)
-            lo = r + 1
-    if not _AFTER_ROWS.fullmatch(data, pos, end):
-        raise _Irregular
+
+    _jobs.run_in_order(_fill, blocks())
     return out, end
+
+
+def _fill(rows: np.ndarray, data: bytes, start: int, stop: int) -> None:
+    """Write the values of the row block data[start:stop] into rows."""
+    rows[...] = _entries(data, start, stop, rows.size).reshape(rows.shape)
 
 
 def _skeleton(data: bytes, lo: int, hi: int, n: int) -> bool:
@@ -497,34 +535,44 @@ def load_json(path: str, digest=None) -> Any:
     In an ASCII file, the value of each "cayley" or "table" key that is an
     n x n table of non-negative integers is read straight from the bytes,
     in row blocks, into one int64 array (see ``_table``); the rest goes
-    through json's C scanner. Such a load holds the file's bytes, their
-    str and the 8 * n * n bytes of each array, plus buffers of under two
-    ``TABLE_BLOCK_BYTES``. Any other file, and any file the table reader
-    does not take whole, goes through ``json.loads``, so the accepted
-    language, the values (up to list or array) and the error messages are
-    json's own.
+    through json's C scanner, which is handed only the text outside the
+    tables. Such a load holds the file's bytes and the 8 * n * n bytes of
+    each array, plus buffers of under two ``TABLE_BLOCK_BYTES``. A file of
+    a block or more is hashed on a worker thread while its tables are read,
+    and the hash is done before this returns or raises. Any other file, and
+    any file the table reader does not take whole, goes through
+    ``json.loads``, so the accepted language, the values (up to list or
+    array) and the error messages are json's own.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         _fail("", f"no such file: {path}")
+    jobs = [(_document, data)] if data.isascii() else []
     if digest is not None:
-        digest.update(data)
+        if jobs and len(data) >= TABLE_BLOCK_BYTES:
+            jobs.insert(0, (digest.update, data))  # on a worker, meanwhile
+        else:  # nothing to read meanwhile, or shorter than a hand-off
+            digest.update(data)
+    if jobs:
+        try:
+            return _jobs.run_in_order(_call, jobs)[-1]
+        except (_Irregular, ValueError, StopIteration, RecursionError):
+            pass
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         _fail("", f"{path} is not UTF-8: {exc}")
-    if len(text) == len(data):  # ASCII: str and bytes offsets agree
-        try:
-            return _document(text, data)
-        except (_Irregular, ValueError, StopIteration, RecursionError):
-            pass
     del data  # not held through json.loads, where the process peaks
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         _fail("", f"invalid JSON in {path}: {exc}")
+
+
+def _call(fn: Callable, *args) -> Any:
+    return fn(*args)
 
 
 def dump_json(obj: Any) -> str:

@@ -17,6 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import _jobs
 from .errors import (
     InfeasibleError,
     MalformedError,
@@ -249,7 +250,10 @@ def _validate_group(g: FiniteGroup) -> None:
     (xa)y = x(ay) for all x, y form a submagma, so once the declared
     generators are known to generate, checking them in the middle decides
     every triple at k * n^2 cost. Whether they generate is read off the walk
-    of ``cayley_tree``, which the group keeps.
+    of ``cayley_tree``, which the group keeps. The test's gathers run on
+    the worker threads (see ``_jobs.run_in_order``), one job per generator
+    and row block of a table of several blocks; the witness is the first
+    failure in generator order, then row order, as for one loop.
     """
     mul = g._mul
     n = g.order
@@ -258,17 +262,25 @@ def _validate_group(g: FiniteGroup) -> None:
     if (mul[0] != np.arange(n)).any() or (mul[:, 0] != np.arange(n)).any():
         raise NotAGroupError("index 0 is not a two-sided identity")
     cayley_tree(g)
-    # row blocks keep the gathered arrays at block x n entries
-    for s in g.generators:
-        s_row = mul[s]
-        for lo in range(0, n, LIGHT_BLOCK_ROWS):
-            left = mul.take(mul[lo:lo + LIGHT_BLOCK_ROWS, s], axis=0)
-            right = mul[lo:lo + LIGHT_BLOCK_ROWS].take(s_row, axis=1)
-            if not np.array_equal(left, right):
-                x, y = np.argwhere(left != right)[0]
-                witness = (lo + int(x), int(s), int(y))
-                raise NotAGroupError(f"associativity fails at {witness}",
-                                     witness=witness)
+    # row blocks keep the gathered arrays at block x n entries; a table of
+    # one block is one job, as its gathers take less than a hand-off
+    pairs = [(s, lo) for s in g.generators
+             for lo in range(0, n, LIGHT_BLOCK_ROWS)]
+    jobs = [(mul, pairs)] if n <= LIGHT_BLOCK_ROWS else [
+        (mul, [pair]) for pair in pairs]
+    _jobs.run_in_order(_light, jobs)
+
+
+def _light(mul: np.ndarray, pairs: list[tuple[int, int]]) -> None:
+    """Light's test of each generator s on LIGHT_BLOCK_ROWS rows from lo."""
+    for s, lo in pairs:
+        left = mul.take(mul[lo:lo + LIGHT_BLOCK_ROWS, s], axis=0)
+        right = mul[lo:lo + LIGHT_BLOCK_ROWS].take(mul[s], axis=1)
+        if not np.array_equal(left, right):
+            x, y = np.argwhere(left != right)[0]
+            witness = (lo + int(x), int(s), int(y))
+            raise NotAGroupError(f"associativity fails at {witness}",
+                                 witness=witness)
 
 
 @dataclass(frozen=True)

@@ -773,3 +773,53 @@ def test_cocycle2_rejects_alike_whatever_the_input_dtype():
         # entries that reduce to 0 mod m normalize the table
         assert np.array_equal(cx.Cocycle2(g, 3, arr(wrapped)).table,
                               _old_stored_table(wrapped, 3))
+
+
+def test_cocycle2_keeps_a_reduced_input_without_sharing_it():
+    g = klein()
+    raw = [[0, 0, 0, 0], [0, 1, 2, 0], [0, 2, 1, 1], [0, 0, 2, 2]]
+    for m in (3, 127, 40_000):
+        want = _old_stored_table(raw, m)
+        big = np.zeros((8, 8), dtype=np.int64)
+        big[2:6, 3:7] = raw
+        for table in (raw, np.array(raw, dtype=np.int8),
+                      np.array(raw, dtype=cx._dtype_for(m)), big[2:6, 3:7]):
+            got = cx.Cocycle2(g, m, table).table
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not np.shares_memory(got, np.asarray(table))
+
+
+ARITHMETIC_MODULI = (1, 2, 3, 64, 65, 127, 128, 255, 256, 40_000)
+
+
+@pytest.mark.parametrize("m", ARITHMETIC_MODULI)
+def test_cocycle_arithmetic_matches_the_int64_reference(m):
+    g = grp.build_from_cayley(
+        [[(a + b) % 9 for b in range(9)] for a in range(9)])
+    rng = np.random.default_rng(m)
+
+    def random_class():
+        t = rng.integers(0, m, size=(9, 9))
+        t[0] = t[:, 0] = 0
+        # the extremes of [0, m) meet in the sums and products
+        t[1, 1:3] = (0, m - 1)
+        t[2, 1:3] = (m - 1, m - 1)
+        return cx.Cocycle2(g, m, t, _verified=True)
+
+    def stored(t):
+        return (t % m).astype(cx._dtype_for(m))
+
+    for _ in range(4):
+        a, b = random_class(), random_class()
+        a64, b64 = a.table.astype(np.int64), b.table.astype(np.int64)
+        for got, want in ((a + b, stored(a64 + b64)), (-a, stored(-a64)),
+                          (a - b, stored(a64 - b64))):
+            assert got.table.dtype == want.dtype
+            assert np.array_equal(got.table, want), m
+        for k in (-7, -1, 0, 1, 2, 3, m - 1, m, m + 1, 1_000_003):
+            want = stored(a64 * k)
+            got = a.scale(k).table
+            assert got.dtype == want.dtype and np.array_equal(got, want), (m, k)
+    # a factor past int64 is reduced first, so the product stays exact
+    k = 10 ** 30 + 7
+    assert np.array_equal(a.scale(k).table, stored(a64 * (k % m)))

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -301,6 +305,144 @@ def test_table_traps_in_small_blocks_load_as_json_loads_them(
     monkeypatch.setattr(fileio, "TABLE_BLOCK_BYTES", block)
     for key in ("cayley", "table"):
         test_table_traps_load_as_json_loads_them(tmp_path, key, table)
+
+
+# --- the same on the worker pool ----------------------------------------------
+
+
+def check_hashes(monkeypatch) -> None:
+    """Make every load_json call hash the file and check the digest."""
+    load = fileio.load_json
+
+    def hashed(path, digest=None):
+        mine = hashlib.sha256()
+        try:
+            return load(path, mine)
+        finally:
+            with open(path, "rb") as fh:
+                assert mine.digest() == hashlib.sha256(fh.read()).digest()
+
+    monkeypatch.setattr(fileio, "load_json", hashed)
+
+
+# each test runs at the small block sizes on two workers, so that the files
+# are hashed on a worker and the tables are read in several jobs: at 1 and 7
+# a row block per job, at 200 a few rows
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_pooled_tables_are_read_as_arrays_equal_to_json(
+        tmp_path, monkeypatch, pooled, block):
+    check_hashes(monkeypatch)
+    test_tables_read_in_small_blocks_are_equal_to_json(tmp_path, monkeypatch,
+                                                       block)
+    assert pooled._pool is not None
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_pooled_mutated_files_load_as_json_loads_them(
+        tmp_path, monkeypatch, pooled, block):
+    check_hashes(monkeypatch)
+    test_mutated_files_in_small_blocks_load_as_json_loads_them(
+        tmp_path, monkeypatch, block)
+    assert pooled._pool is not None
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@pytest.mark.parametrize("table", TABLE_TRAPS.values(), ids=TABLE_TRAPS)
+def test_pooled_table_traps_load_as_json_loads_them(
+        tmp_path, monkeypatch, pooled, table, block):
+    check_hashes(monkeypatch)
+    test_table_traps_in_small_blocks_load_as_json_loads_them(
+        tmp_path, monkeypatch, table, block)
+    # at 200 bytes most traps' files and tables are one block, read inline
+    assert pooled._pool is not None or block == 200
+
+
+def test_an_irregular_block_leaves_no_job_running(tmp_path, monkeypatch,
+                                                  pooled):
+    # a blank entry keeps the skeleton and the row gaps, so only the
+    # block's own job finds it, while later blocks are queued or running
+    n = 300
+    path = tmp_path / "g.json"
+    text = cyclic_file(path, n)
+    row = f"[{', '.join(str((150 + j) % n) for j in range(n))}]"
+    assert text.count(row) == 1
+    path.write_text(text.replace(row, row.replace(", 7,", ", ,")))
+    monkeypatch.setattr(fileio, "TABLE_BLOCK_BYTES", 1 << 13)
+    fill, lock = fileio._fill, threading.Lock()
+    running, calls = [0], [0]
+
+    def slow_fill(*args):
+        with lock:
+            running[0] += 1
+            calls[0] += 1
+        try:
+            time.sleep(0.002)
+            return fill(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(fileio, "_fill", slow_fill)
+    want = load_outcome(reference_load, path)
+    assert want[0] == "malformed"
+    assert load_outcome(fileio.load_json, str(path)) == want
+    assert running[0] == 0 and calls[0] > 1
+    assert pooled._pool is not None
+
+
+def test_the_pool_fills_one_table_from_many_threads(tmp_path, monkeypatch,
+                                                    pooled):
+    # more workers than cores, switching threads as often as it can: a
+    # row block lost or written twice would break the equality
+    monkeypatch.setattr(pooled, "cpus", lambda: 4)
+    monkeypatch.setattr(fileio, "TABLE_BLOCK_BYTES", 64)
+    n = 97
+    path = tmp_path / "g.json"
+    cyclic_file(path, n)
+    want = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            digest = hashlib.sha256()
+            assert np.array_equal(fileio.load_json(str(path), digest)["cayley"],
+                                  want)
+            assert digest.digest() == hashlib.sha256(
+                path.read_bytes()).digest()
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled._pool._max_workers == 4
+
+
+def test_values_outside_the_tables_load_as_json_loads_them(tmp_path):
+    # the scanner reads them through windows from 256 characters up: these
+    # values end on either side of a window's end, numbers among them
+    # with a fraction or an exponent cut off by it
+    path = tmp_path / "t.json"
+    values = []
+    for width in (250, 251, 252, 253, 254, 255, 256, 257, 1023, 1024, 1025):
+        values += ["1" * width, "1" * (width - 2) + ".5",
+                   "1" * (width - 3) + "e+3", "1" * (width - 2) + "e3",
+                   "1" * (width - 3) + "E-1", "-" + "2" * (width - 1),
+                   json.dumps("x" * (width - 2)), json.dumps("\\" * width),
+                   json.dumps(list(range(width // 4))),
+                   json.dumps({"k": "y" * width, "table": [[0]]})]
+    for v in values:
+        for text, key in ((f'{{"order": 1, "cayley": [[0]], "labels": {v}}}',
+                           "cayley"),
+                          (f'{{"labels": {v}, "table": [[0]]}}', "table"),
+                          (f'{{"labels": {v}}}', None),
+                          (f'{{"labels": {v}  }}', None),
+                          (f'{{"labels": {v}}}   ', None),
+                          (f'{{"labels": {v}', None)):
+            path.write_text(text)
+            want = load_outcome(reference_load, path)
+            assert load_outcome(fileio.load_json, str(path)) == want
+            if key is not None:  # the table reader took the file
+                assert isinstance(fileio.load_json(str(path))[key],
+                                  np.ndarray)
 
 
 def cyclic_file(path, n: int) -> str:

@@ -573,3 +573,50 @@ def test_index_p_kernels_come_in_normalised_functional_order():
     got = [k.elements for k in grp.cyclic_quotient_kernels(whole)
            if k.order * p == g.order]
     assert got == expected
+
+
+def first_light_failure(mul: np.ndarray, gens) -> tuple[int, int, int] | None:
+    """The first (x, s, y) with (xs)y != x(sy), generators in order, then
+    rows, then columns: the witness one loop over Light's test gives."""
+    for s in gens:
+        bad = np.argwhere(mul[mul[:, s]] != mul[:, mul[s]])
+        if len(bad):
+            return int(bad[0][0]), int(s), int(bad[0][1])
+    return None
+
+
+def group_outcome(table, gens):
+    try:
+        grp.build_from_cayley(table, generators=gens)
+    except NotAGroupError as exc:
+        return str(exc), exc.witness
+    return None
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_light_witness_is_the_same_inline_and_pooled(monkeypatch, pooled,
+                                                     cpus):
+    # 4-row blocks: a table of order 30 is 8 blocks per generator, and the
+    # swaps break associativity in several of them, for several generators
+    monkeypatch.setattr(grp, "LIGHT_BLOCK_ROWS", 4)
+    monkeypatch.setattr(pooled, "cpus", lambda: cpus)
+    rng = np.random.default_rng(5)
+    n, gens = 30, [1, 7, 2]
+    failing = 0
+    for trial in range(60):
+        table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+        # swaps inside rows keep every row a permutation with 0 in it, and
+        # leave the identity's row and column alone
+        for _ in range(rng.integers(1, 6)):
+            x = rng.integers(1, n)
+            b, c = rng.integers(1, n, size=2)
+            table[x, b], table[x, c] = table[x, c], table[x, b]
+        got = group_outcome(table, gens)
+        want = first_light_failure(table, gens)
+        if got is not None and got[0].startswith("associativity"):
+            failing += 1
+            assert got == (f"associativity fails at {want}", want)
+        elif got is None:
+            assert want is None
+    assert failing > 30
+    assert (pooled._pool is not None) == (cpus > 1)
