@@ -51,20 +51,20 @@ def run_in_order(fn: Callable[..., Any], jobs: Iterable[tuple]) -> list:
         return [fn(*job) for job in jobs]
     futures: list = []
     try:
-        job = late = None
+        job = failed = None
         try:
             it = iter(jobs)
             job = next(it, None)
             for following in it:
                 futures.append(_executor().submit(fn, *job))
                 job = following
-        except Exception as exc:  # raised after the jobs yielded before it
-            late = exc
-        tail, failed = [], late
+        except Exception as exc:  # comes after the jobs yielded before it
+            failed = exc
+        tail = []
         if job is not None:
             try:
                 tail.append(fn(*job))
-            except Exception as exc:
+            except Exception as exc:  # comes before the iterable's
                 failed = exc
         for f in futures:
             if f.exception() is not None:
