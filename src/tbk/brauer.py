@@ -46,30 +46,33 @@ def in_B0(c: _cx.Cocycle2) -> MembershipVerdict:
     return _beta_scan(c, None)
 
 
-def _active_representatives(g: _grp.FiniteGroup,
-                            model: LinearActionModel | None) -> list[int]:
-    """Class representatives whose commuting pairs the scans read.
+def _scan_pairs(g: _grp.FiniteGroup, model: LinearActionModel | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The commuting pairs (r, h) the scans read, in ``grp.class_pairs`` order.
 
-    All of them for B0; with a model, those whose fixed space meets the
-    open set.
+    All of the group's for B0; with a model, those whose representative's
+    fixed space meets the open set, selected once per model.
     """
-    reps = _grp.class_representatives(g)
+    pairs = _grp.class_pairs(g)
     if model is None:
-        return reps
-    flags = _open_flags(model)
-    return [r for r in reps if flags[r]]
+        return pairs.first, pairs.second
+    if "open_pairs" not in model._cache:
+        flags = _open_flags(model)
+        keep = np.array([flags[int(r)] for r in pairs.first[pairs.starts]],
+                        dtype=bool)
+        live = np.repeat(keep, np.diff(pairs.starts, append=len(pairs.first)))
+        model._cache["open_pairs"] = (pairs.first[live], pairs.second[live])
+    return model._cache["open_pairs"]
 
 
 def _beta_scan(c: _cx.Cocycle2, model: LinearActionModel | None
                ) -> MembershipVerdict:
     """First commuting pair (r, h) with beta(r, h) != 0, r an active rep."""
-    g = c.group
-    for rep_ in _active_representatives(g, model):
-        z = _grp.centralizer(g, rep_)
-        els = np.array(z.elements, dtype=np.int64)
-        bad = np.nonzero(c.beta(rep_, els))[0]
-        if len(bad):
-            return MembershipVerdict(False, (rep_, int(els[bad[0]])))
+    first, second = _scan_pairs(c.group, model)
+    bad = np.flatnonzero(c.beta(first, second))
+    if len(bad):
+        i = bad[0]
+        return MembershipVerdict(False, (int(first[i]), int(second[i])))
     return MembershipVerdict(True, None)
 
 
@@ -136,26 +139,25 @@ def in_BG_bicyclic(c: _cx.Cocycle2, model: LinearActionModel) -> BicyclicVerdict
         raise ModulusMismatchError("model group does not match the cocycle")
     admissible = model._cache.setdefault("bicyclic", {})
     seen: set[frozenset] = set()
-    for rep_ in _grp.class_representatives(g):
-        z = _grp.centralizer(g, rep_)
-        for h in z.elements:
-            a_sub = _grp.subgroup_generated(g, [rep_, int(h)])
-            key = frozenset(a_sub.elements)
-            if key in seen:
-                continue
-            seen.add(key)
-            if key not in admissible:
-                admissible[key] = \
-                    _cyclic_quotient_exists_with_open_fixed_space(a_sub, model)
-            ok, k_sub, codim = admissible[key]
-            if not ok:
-                continue
-            els = np.array(a_sub.elements)
-            asym = np.argwhere(c.beta(els[:, None], els))
-            if len(asym):  # the first asymmetric pair in row-major order
-                pair = tuple(int(x) for x in els[asym[0]])
-                return BicyclicVerdict(
-                    False, BicyclicWitness(a_sub, k_sub, codim, pair))
+    pairs = _grp.class_pairs(g)
+    for rep_, h in zip(pairs.first.tolist(), pairs.second.tolist()):
+        a_sub = _grp.subgroup_generated(g, [rep_, h])
+        key = frozenset(a_sub.elements)
+        if key in seen:
+            continue
+        seen.add(key)
+        if key not in admissible:
+            admissible[key] = \
+                _cyclic_quotient_exists_with_open_fixed_space(a_sub, model)
+        ok, k_sub, codim = admissible[key]
+        if not ok:
+            continue
+        els = np.array(a_sub.elements)
+        asym = np.argwhere(c.beta(els[:, None], els))
+        if len(asym):  # the first asymmetric pair in row-major order
+            pair = tuple(int(x) for x in els[asym[0]])
+            return BicyclicVerdict(
+                False, BicyclicWitness(a_sub, k_sub, codim, pair))
     return BicyclicVerdict(True, None)
 
 
@@ -211,11 +213,8 @@ def span_analysis(basis: list[_cx.Cocycle2],
     if model is not None and model.group is not g:
         raise ModulusMismatchError("model group does not match the catalog")
 
-    pairs = np.array([(rep_, h) for rep_ in _active_representatives(g, model)
-                      for h in _grp.centralizer(g, rep_).elements],
-                     dtype=np.int64).reshape(-1, 2)
-
-    mat = np.array([c.beta(pairs[:, 0], pairs[:, 1]) for c in basis])
+    first, second = _scan_pairs(g, model)
+    mat = np.array([c.beta(first, second) for c in basis])
     kernel_rows = zmlin.left_kernel(mat, m)
     trivial = _cx.trivial_combinations(
         g, np.array([c.table[:, list(g.generators)] for c in basis]), m)
@@ -223,7 +222,7 @@ def span_analysis(basis: list[_cx.Cocycle2],
     factors, gens = zmlin.quotient(kernel_rows, trivial, m)
     example = _least_of_maximal_order(factors, gens, trivial, m) \
         if factors else None
-    return SpanReport(m, len(basis), len(pairs),
+    return SpanReport(m, len(basis), len(first),
                       tuple(tuple(int(x) for x in row) for row in kernel_rows),
                       tuple(not v for v in live), factors, example)
 
@@ -269,15 +268,15 @@ class OrbifoldReport:
         return all(r.contribution == r.untwisted_contribution for r in self.rows)
 
 
-def _invariant_dimension(z: Subgroup, chi: dict[int, CycloNumber],
+def _invariant_dimension(elements: list[int], chi: dict[int, CycloNumber],
                          beta: list[int], m: int) -> int:
-    """dim of the invariants: average of chi(h) * zeta^beta(h) over Z_g,
-    with beta listed in the order of ``z.elements``."""
+    """dim of the invariants: average of chi(h) * zeta^beta(h) over the
+    centralizer ``elements``, with beta listed in their order."""
     total = CycloNumber.rational(0)
-    for h, b in zip(z.elements, beta):
+    for h, b in zip(elements, beta):
         term = chi[h] * CycloNumber.zeta(m, b) if m > 1 else chi[h]
         total = total + term
-    value = total * Fraction(1, z.order)
+    value = total * Fraction(1, len(elements))
     if not value.is_rational():
         raise NonIntegralDimensionError(f"non-rational dimension {value!r}")
     q = value.as_rational()
@@ -294,7 +293,9 @@ def orbifold_dims(model: LinearActionModel, c: _cx.Cocycle2,
     In the default scalar mode each nonempty class carries a 1-dimensional
     trivial module, so the contribution is 1 exactly when the L-character is
     trivial; explicit character tables (traces of the centralizer action on
-    H(U^g)) may be supplied per class representative instead.
+    H(U^g)) may be supplied per class representative instead. beta is read
+    on the group's ``grp.class_pairs`` at once, and each class's L-character
+    is trivial when beta vanishes on its run of pairs.
     """
     _cx.ensure_cocycle(c)
     g = c.group
@@ -303,13 +304,16 @@ def orbifold_dims(model: LinearActionModel, c: _cx.Cocycle2,
     m = c.modulus
     flags = _open_flags(model)
     classes = _grp.conjugacy_classes(g)
+    pairs = _grp.class_pairs(g)
+    beta = c.beta(pairs.first, pairs.second)
+    live = np.logical_or.reduceat(beta != 0, pairs.starts).tolist()
+    ends = [*pairs.starts[1:].tolist(), len(beta)]
     rows = []
     twisted = untwisted = 0
-    for cls in classes:
+    for cls, lo, hi, lchar_live in zip(classes, pairs.starts.tolist(), ends,
+                                       live):
         rep_ = int(cls[0])
-        z = _grp.centralizer(g, rep_)
-        beta = c.beta(rep_, np.array(z.elements))
-        lchar_trivial = not beta.any()
+        lchar_trivial = not lchar_live
         if not flags[rep_]:
             rows.append(OrbifoldRow(rep_, len(cls), False, lchar_trivial, 0, 0))
             continue
@@ -317,12 +321,14 @@ def orbifold_dims(model: LinearActionModel, c: _cx.Cocycle2,
             chi = {int(h): v if isinstance(v, CycloNumber)
                    else CycloNumber.rational(v)
                    for h, v in homology_input[rep_].items()}
-            missing = [h for h in z.elements if h not in chi]
+            members = pairs.second[lo:hi].tolist()
+            missing = [h for h in members if h not in chi]
             if missing:
                 raise NonIntegralDimensionError(
                     f"character table missing centralizer elements {missing}")
-            contribution = _invariant_dimension(z, chi, beta.tolist(), m)
-            untw = _invariant_dimension(z, chi, [0] * z.order, m)
+            contribution = _invariant_dimension(members, chi,
+                                                beta[lo:hi].tolist(), m)
+            untw = _invariant_dimension(members, chi, [0] * len(members), m)
         else:
             contribution = 1 if lchar_trivial else 0
             untw = 1

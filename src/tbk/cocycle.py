@@ -273,6 +273,40 @@ def _word_counts(g: FiniteGroup) -> np.ndarray:
     return g._cache["word_counts"]
 
 
+@dataclass(frozen=True)
+class EdgePlan:
+    """The part of the edge system over Z_modulus that depends on the group.
+
+    ``coef`` is the coefficient block of ``edge_system``, one row per edge
+    (a, gen_j). Edge e has the distinct row distinct[e], which appears
+    first at edge first[distinct[e]], and ``span`` factors the distinct
+    rows for ``zmlin.solve_against``.
+    """
+
+    prod: np.ndarray
+    coef: np.ndarray
+    distinct: np.ndarray
+    first: np.ndarray
+    span: zmlin.ColumnSpan
+
+
+def edge_plan(g: FiniteGroup, modulus: int) -> EdgePlan:
+    """The group's edge plan over Z_modulus, built on first use and kept."""
+    plans = g._cache.setdefault("edge_plans", {})
+    if modulus not in plans:
+        counts = _word_counts(g)
+        k = counts.shape[1]
+        gens = list(g.generators)
+        prod = g.mul_table()[:, gens]
+        coef = ((counts[:, None] + counts[gens] - counts[prod])
+                % modulus).reshape(g.order * k, k)
+        rows, first, distinct = np.unique(coef, axis=0, return_index=True,
+                                          return_inverse=True)
+        plans[modulus] = EdgePlan(prod, coef, distinct.reshape(-1), first,
+                                  zmlin.ColumnSpan(rows, modulus))
+    return plans[modulus]
+
+
 def edge_system(g: FiniteGroup, edges: np.ndarray, modulus: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edge constraints d(lambda) = c over Z_modulus.
@@ -282,21 +316,20 @@ def edge_system(g: FiniteGroup, edges: np.ndarray, modulus: int
     lambda(x) = off[x] + counts[x] . lambda_gens, and d(lambda) agrees with
     c on the n*k edges (a, gen_j) exactly when coef @ lambda_gens == rhs.
     Returns (off, coef, rhs) with the leading axes of ``edges`` on off and
-    rhs; coef does not depend on c and rhs is linear in it.
+    rhs; coef does not depend on c (it is ``edge_plan``'s) and rhs is
+    linear in it.
     """
     n = g.order
     tree = _grp.cayley_tree(g)
-    counts = _word_counts(g)
-    k = counts.shape[1]
+    plan = edge_plan(g, modulus)
     gens = list(g.generators)
+    prod = plan.prod
     off = np.zeros(edges.shape[:-1], dtype=np.int64)
     for lvl in tree.levels[1:]:
         par = tree.parent[lvl]
         off[..., lvl] = (off[..., par] - edges[..., par, tree.letter[lvl]]) % modulus
-    prod = g.mul_table()[:, gens]
-    coef = (counts[:, None] + counts[gens] - counts[prod]) % modulus
     rhs = (edges - off[..., :, None] - off[..., None, gens] + off[..., prod]) % modulus
-    return off, coef.reshape(n * k, k), rhs.reshape(*edges.shape[:-2], n * k)
+    return off, plan.coef, rhs.reshape(*edges.shape[:-2], n * len(gens))
 
 
 def trivial_combinations(g: FiniteGroup, edges: np.ndarray, modulus: int
@@ -327,11 +360,15 @@ def is_coboundary(c: Cocycle2, sense: str = "torus") -> Cochain1 | None:
     function of the generator values, so the constraints become a small
     linear system over Z_M in one unknown per generator. c and d(lambda) are
     both normalized cocycles, and such a cocycle is fixed by its values on
-    the edges (a, s) with s a generator (see ``_edge_parametrization``), so
-    the n*k edge constraints imply all n^2. The system is solved exactly by
-    Howell reduction and infeasibility of that system is a proof that no
+    the n*k edges (a, s) with s a generator, so the edge constraints imply
+    all n^2. The group's ``edge_plan`` over Z_M holds the distinct
+    coefficient rows of those constraints and their factored column span:
+    edges with one row but two right-hand sides make the system infeasible
+    at once, and otherwise one right-hand side per distinct row is reduced
+    against the span. Infeasibility of that reduction is a proof that no
     witness exists. The generator values are the lexicographically least
-    solution, so the witness depends only on c.
+    solution, so the witness depends only on c. It is checked against the
+    whole table, one row block at a time.
     """
     ensure_cocycle(c)
     if sense not in ("torus", "mod-m"):
@@ -341,17 +378,41 @@ def is_coboundary(c: Cocycle2, sense: str = "torus") -> Cochain1 | None:
     big = c.modulus * f
     # exponents in [0, m) times f stay below M = m * f: no reduction needed
     edges = c.table[:, list(g.generators)].astype(np.int64) * f
-    off, coef, rhs = edge_system(g, edges, big)
-    k = coef.shape[1]
-    system = np.unique(np.column_stack([coef, rhs]), axis=0)
-    sol = zmlin.solve(system[:, :k], system[:, k], big)
-    if sol is None:
+    off, _, rhs = edge_system(g, edges, big)
+    plan = edge_plan(g, big)
+    b = rhs[plan.first]
+    if (rhs != b[plan.distinct]).any():
         return None
-    lam = (off + _word_counts(g) @ sol[0]) % big
-    witness = Cochain1(g, big, lam)
-    assert np.array_equal(coboundary_of(witness).table,
-                          c.table.astype(np.int64) * f)
+    xs, feasible = zmlin.solve_against(plan.span, b)
+    if not feasible[0]:
+        return None
+    witness = Cochain1(g, big, off + _word_counts(g) @ xs[0])
+    assert _lifts_to(witness, c, f)
     return witness
+
+
+def _lifts_to(lam: Cochain1, c: Cocycle2, f: int) -> bool:
+    """Whether d(lam) == f * c entry for entry, one row block at a time.
+
+    d(lam)(a, b) = lam(a) + lam(b) - lam(ab) lies in (-M, 2M) for M the
+    cochain's modulus, so each block runs in the narrowest dtype holding
+    2M, as does the block of f * c it is compared with.
+    """
+    big, n = lam.modulus, c.group.order
+    dt = _dtype_for(2 * big)
+    t = lam.table.astype(dt)
+    mul = c.group.mul_table()
+    step = _block_rows(n)
+    for lo in range(0, n, step):
+        d = t.take(mul[lo:lo + step])
+        np.subtract(t[lo:lo + step, None], d, out=d)
+        d += t
+        d %= big
+        want = c.table[lo:lo + step].astype(dt)
+        want *= f
+        if not np.array_equal(d, want):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,9 @@ class FiniteGroup:
 
     def __init__(self, mul: np.ndarray, generators: Sequence[int],
                  labels: Sequence[str] | None = None, _validated: bool = False):
-        mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
+        mul = np.ascontiguousarray(mul, dtype=np.int32) if _validated \
+            else _int32_table(mul)
         n = mul.shape[0]
-        if mul.shape != (n, n):
-            raise NotAGroupError(f"table must be square, got {mul.shape}")
         self.order = n
         self._mul = mul
         self._inv = _inverse_table(mul)
@@ -241,10 +240,26 @@ def _inverse_table(mul: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _int32_table(table) -> np.ndarray:
+    """A square table as a contiguous int32 array, its entries checked to
+    lie in [0, n) in the input's own integer dtype, before the cast can
+    wrap one into range."""
+    mul = np.asarray(table)
+    if mul.dtype.kind not in "iu":
+        mul = mul.astype(np.int64)
+    n = len(mul) if mul.ndim else 0
+    if mul.ndim != 2 or mul.shape != (n, n):
+        raise NotAGroupError(f"table must be square, got {mul.shape}")
+    if mul.size and (mul.min() < 0 or mul.max() >= n):
+        raise NotAGroupError("table entry out of range")
+    return np.ascontiguousarray(mul, dtype=np.int32)
+
+
 def _validate_group(g: FiniteGroup) -> None:
     """Decide the group axioms for a table whose rows have right inverses.
 
-    ``_inverse_table`` has found a right inverse for every element, and an
+    The table's entries lie in [0, n) (``_int32_table``), and
+    ``_inverse_table`` has found a right inverse for every element; an
     associative table with a two-sided identity and right inverses is a
     group. Associativity is decided by Light's test: the elements a with
     (xa)y = x(ay) for all x, y form a submagma, so once the declared
@@ -257,8 +272,6 @@ def _validate_group(g: FiniteGroup) -> None:
     """
     mul = g._mul
     n = g.order
-    if ((mul < 0) | (mul >= n)).any():
-        raise NotAGroupError("table entry out of range")
     if (mul[0] != np.arange(n)).any() or (mul[:, 0] != np.arange(n)).any():
         raise NotAGroupError("index 0 is not a two-sided identity")
     cayley_tree(g)
@@ -366,14 +379,13 @@ def _identity_first(mul: np.ndarray, e: int
 
 def build_from_cayley(table, labels: Sequence[str] | None = None,
                       generators: Sequence[int] | None = None) -> FiniteGroup:
-    """Validate a raw multiplication table and relocate the identity to 0."""
-    mul = np.asarray(table, dtype=np.int64)
+    """Validate a raw multiplication table and relocate the identity to 0.
+
+    The entries are range-checked once, before the relabelling indexes by
+    them; the group is then built unchecked and validated as it stands.
+    """
+    mul = _int32_table(table)
     n = mul.shape[0]
-    if mul.ndim != 2 or mul.shape != (n, n):
-        raise NotAGroupError(f"table must be square, got {mul.shape}")
-    if ((mul < 0) | (mul >= n)).any():
-        raise NotAGroupError("table entry out of range")
-    mul = mul.astype(np.int32)
     # every identity is idempotent: only the e with e * e = e are candidates
     ar = np.arange(n)
     ident = [int(e) for e in np.flatnonzero(np.diagonal(mul) == ar)
@@ -389,7 +401,9 @@ def build_from_cayley(table, labels: Sequence[str] | None = None,
             generators = [int(pos[g]) for g in generators]
     gens = list(generators) if generators is not None else \
         _greedy_subgroup_generators(mul, range(n))
-    return FiniteGroup(mul, gens, labels)
+    g = FiniteGroup(mul, gens, labels, _validated=True)
+    _validate_group(g)
+    return g
 
 
 def _memory_budget() -> int:
@@ -513,6 +527,33 @@ def conjugacy_classes(g: FiniteGroup) -> list[np.ndarray]:
 
 def class_representatives(g: FiniteGroup) -> list[int]:
     return [int(c[0]) for c in conjugacy_classes(g)]
+
+
+@dataclass(frozen=True)
+class ClassPairs:
+    """The commuting pairs (r, h) with r a class representative.
+
+    Pair i is (first[i], second[i]): representatives in class order, and
+    for each the members h of its centralizer in ascending order. The pairs
+    of class j start at starts[j].
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    starts: np.ndarray
+
+
+def class_pairs(g: FiniteGroup) -> ClassPairs:
+    """The group's representative commuting pairs, from one table compare,
+    built once per group: every commuting-pair scan reads them."""
+    if "class_pairs" not in g._cache:
+        reps = np.array(class_representatives(g), dtype=np.intp)
+        comm = g._mul[reps] == g._mul[:, reps].T
+        rows, hs = np.nonzero(comm)
+        starts = np.zeros(len(reps), dtype=np.intp)
+        np.cumsum(comm.sum(axis=1)[:-1], out=starts[1:])
+        g._cache["class_pairs"] = ClassPairs(reps[rows], hs, starts)
+    return g._cache["class_pairs"]
 
 
 def centralizer(g: FiniteGroup, x: int) -> Subgroup:

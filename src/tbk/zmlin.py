@@ -159,24 +159,45 @@ def right_kernel(mat, modulus: int) -> np.ndarray:
     return left_kernel(h.T, modulus)
 
 
-def _solve_rows(mat, rhs_rows, modulus: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """mat @ x == b mod modulus for every row b of ``rhs_rows`` at once.
+class ColumnSpan:
+    """The factor of mat that ``solve_against`` solves mat @ x == b with.
 
-    Returns (xs, feasible, null): xs[i] is the lexicographically least
-    solution for row i when feasible[i] holds, and null holds the
-    Howell-form rows of the null space, which is the left kernel of mat^T.
+    ``howell`` is the Howell form of [mat^T | I]: row i of that matrix
+    pairs column i of mat with the unit coefficient vector e_i, so its span
+    holds (mat @ x, x) for every x. ``null`` holds its rows whose first
+    part vanishes, the Howell-form rows of the null space (the left kernel
+    of mat^T). The factor depends on mat and the modulus only, so one
+    factor serves any number of right-hand sides.
     """
-    m = modulus
-    a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-    rows, cols = a.shape
+
+    __slots__ = ("howell", "rows", "null", "modulus")
+
+    def __init__(self, mat, modulus: int):
+        a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+        rows, cols = a.shape
+        h = howell_form(np.hstack([a.T % modulus, np.eye(cols, dtype=np.int64)]),
+                        modulus)
+        self.howell = h
+        self.rows = rows
+        self.null = h[~h[:, :rows].any(axis=1)][:, rows:]
+        self.modulus = modulus
+
+
+def solve_against(span: ColumnSpan, rhs_rows) -> tuple[np.ndarray, np.ndarray]:
+    """mat @ x == b for every row b of ``rhs_rows``, mat factored in ``span``.
+
+    Returns (xs, feasible): xs[i] is the lexicographically least solution
+    for row i when feasible[i] holds. (b, 0) is reduced against the Howell
+    form of [mat^T | I]; b lies in the column span exactly when the first
+    part of the remainder (b - mat @ y, -y) vanishes, and then -(-y) = y
+    is a solution, which the null space brings to its least coset element.
+    """
+    m, rows = span.modulus, span.rows
     b = np.asarray(rhs_rows, dtype=np.int64).reshape(-1, rows)
-    # Column-span view: rows of [A^T | I] are (column of A, unit coeff vector).
-    h = howell_form(np.hstack([a.T % m, np.eye(cols, dtype=np.int64)]), m)
+    cols = span.howell.shape[1] - rows
     r = howell_reduce(np.hstack([b, np.zeros((len(b), cols), dtype=np.int64)]),
-                      h, m)
-    null = h[~h[:, :rows].any(axis=1)][:, rows:]
-    return howell_reduce(-r[:, rows:], null, m), ~r[:, :rows].any(axis=1), null
+                      span.howell, m)
+    return howell_reduce(-r[:, rows:], span.null, m), ~r[:, :rows].any(axis=1)
 
 
 def solve(mat, rhs, modulus: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -186,15 +207,16 @@ def solve(mat, rhs, modulus: int) -> tuple[np.ndarray, np.ndarray] | None:
     holds the Howell-form rows of the null space; or None when the system
     is infeasible. Both depend only on the solution set, not on the order
     of the rows or on redundant ones. Infeasibility is definitive: rhs is
-    reduced against the Howell form of the column span, where membership
-    is decidable.
+    reduced against the Howell form of the column span (``ColumnSpan``),
+    where membership is decidable.
     """
     a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
     b = np.asarray(rhs, dtype=np.int64)
     if b.shape != (a.shape[0],):
         raise ValueError(f"rhs has shape {b.shape}, expected ({a.shape[0]},)")
-    xs, feasible, null = _solve_rows(a, b, modulus)
-    return (xs[0], null) if feasible[0] else None
+    span = ColumnSpan(a, modulus)
+    xs, feasible = solve_against(span, b)
+    return (xs[0], span.null) if feasible[0] else None
 
 
 def smith_form(mat, modulus: int, track_vinv: bool = False):
@@ -323,7 +345,9 @@ def quotient(gens, sub, modulus: int) -> tuple[tuple[int, ...], np.ndarray]:
     """
     m = modulus
     g = np.atleast_2d(np.asarray(gens, dtype=np.int64)) % m
-    coeffs, feasible, relations = _solve_rows(g.T, sub, m)
+    span = ColumnSpan(g.T, m)
+    coeffs, feasible = solve_against(span, sub)
+    relations = span.null
     if not feasible.all():
         raise ValueError("sub is not contained in span(gens)")
     pres = np.vstack([relations, coeffs])

@@ -527,3 +527,104 @@ def test_memberships_closed_under_sum_and_negation(bundle_p2):
     for c in members[1:]:
         total = total + c
     assert br.in_B0(total).member
+
+
+# ---------------------------------------------------------------------------
+# the pair-index scans against a per-representative loop
+
+
+def _reference_scan(c: cx.Cocycle2, flags=None) -> tuple[int, int] | None:
+    """The first (r, h), r an active class representative and h in its
+    centralizer in ascending order, with beta(r, h) != 0."""
+    g = c.group
+    for r in grp.class_representatives(g):
+        if flags is not None and not flags[r]:
+            continue
+        els = np.array(grp.centralizer(g, r).elements)
+        bad = np.flatnonzero(c.beta(r, els))
+        if len(bad):
+            return r, int(els[bad[0]])
+    return None
+
+
+def _reference_flags(model: rp.LinearActionModel) -> dict[int, bool]:
+    return {rec.representative: rec.meets_open_set
+            for rec in rp.fixed_locus_survey(model).records}
+
+
+def _reference_orbifold_rows(c: cx.Cocycle2, flags) -> tuple:
+    g = c.group
+    rows = []
+    for cls in grp.conjugacy_classes(g):
+        r = int(cls[0])
+        els = np.array(grp.centralizer(g, r).elements)
+        trivial = not c.beta(r, els).any()
+        rows.append(br.OrbifoldRow(r, len(cls), flags[r], trivial,
+                                   int(flags[r] and trivial), int(flags[r])))
+    return tuple(rows)
+
+
+def _assert_scans_match(c: cx.Cocycle2, models) -> set[bool]:
+    """in_B0, in_BG and orbifold_dims against the references; returns the
+    memberships seen."""
+    expected = _reference_scan(c)
+    verdict = br.in_B0(c)
+    assert verdict == br.MembershipVerdict(expected is None, expected)
+    seen = {verdict.member}
+    for model in models:
+        flags = _reference_flags(model)
+        expected = _reference_scan(c, flags)
+        verdict = br.in_BG(c, model)
+        assert verdict == br.MembershipVerdict(expected is None, expected)
+        assert br.orbifold_dims(model, c).rows == \
+            _reference_orbifold_rows(c, flags)
+        seen.add(verdict.member)
+    return seen
+
+
+def test_scans_match_the_per_representative_loop_at_p2(bundle_p2):
+    b = bundle_p2
+    models = (b.model, rp.build_model(b.rep, b.rep.degree + 1))
+    rng = random.Random(21)
+    classes = [b.cocycle(x) for x in b.catalog_names]
+    seen = set()
+    for c in classes:
+        seen |= _assert_scans_match(c, models)
+    for _ in range(20):
+        picked = [c for c in classes if rng.random() < 0.5] or classes[:1]
+        total = picked[0]
+        for c in picked[1:]:
+            total = total + c
+        lam = cx.Cochain1(b.group, 2,
+                          [0] + [rng.randrange(2) for _ in range(b.group.order - 1)])
+        seen |= _assert_scans_match(total + cx.coboundary_of(lam), models)
+    assert seen == {True, False}
+
+
+def test_scans_match_the_per_representative_loop_at_p3(bundle_p3):
+    b = bundle_p3
+    models = (b.model, rp.build_model(b.rep, b.rep.degree + 1))
+    seen = set()
+    for name in b.catalog_names:
+        seen |= _assert_scans_match(b.cocycle(name), models)
+    assert seen == {True, False}
+
+
+def test_a_mutated_entry_changes_the_scans(bundle_p2):
+    b = bundle_p2
+    c = b.cocycle("e12")
+    assert br.in_B0(c).member and br.in_BG(c, b.model).member
+    g = c.group
+    flags = _reference_flags(b.model)
+    # the last commuting pair of the last open representative
+    r = [x for x in grp.class_representatives(g) if flags[x]][-1]
+    h = grp.centralizer(g, r).elements[-1]
+    assert r != h
+    t = c.table.astype(np.int64)
+    t[r, h] = (t[r, h] + 1) % 2
+    bad = cx.Cocycle2(g, 2, t, _verified=True)
+    assert br.in_B0(bad) == br.MembershipVerdict(False, _reference_scan(bad))
+    assert br.in_BG(bad, b.model).witness_pair == (r, h)
+    rows = br.orbifold_dims(b.model, bad).rows
+    assert rows == _reference_orbifold_rows(bad, flags)
+    assert [row.representative for row in rows if not row.l_trivial] == [r]

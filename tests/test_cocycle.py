@@ -823,3 +823,147 @@ def test_cocycle_arithmetic_matches_the_int64_reference(m):
     # a factor past int64 is reduced first, so the product stays exact
     k = 10 ** 30 + 7
     assert np.array_equal(a.scale(k).table, stored(a64 * (k % m)))
+
+
+# ---------------------------------------------------------------------------
+# the coboundary solver against a per-call reference
+
+
+def _reference_coboundary(c: cx.Cocycle2, sense: str) -> np.ndarray | None:
+    """The witness table by a fresh edge system, deduplicated with the
+    right-hand side and solved by ``zmlin.solve``, or None."""
+    g = c.group
+    f = g.exponent() if sense == "torus" else 1
+    big = c.modulus * f
+    gens = list(g.generators)
+    mul = g.mul_table()
+    tree = grp.cayley_tree(g)
+    counts = np.zeros((g.order, len(gens)), dtype=np.int64)
+    for lvl in tree.levels[1:]:
+        counts[lvl] = counts[tree.parent[lvl]]
+        counts[lvl, tree.letter[lvl]] += 1
+    edges = c.table[:, gens].astype(np.int64) * f
+    off = np.zeros(g.order, dtype=np.int64)
+    for lvl in tree.levels[1:]:
+        par = tree.parent[lvl]
+        off[lvl] = (off[par] - edges[par, tree.letter[lvl]]) % big
+    prod = mul[:, gens]
+    coef = ((counts[:, None] + counts[gens] - counts[prod]) % big).reshape(
+        -1, len(gens))
+    rhs = ((edges - off[:, None] - off[gens] + off[prod]) % big).reshape(-1)
+    system = np.unique(np.column_stack([coef, rhs]), axis=0)
+    sol = zmlin.solve(system[:, :-1], system[:, -1], big)
+    if sol is None:
+        return None
+    lam = (off + counts @ sol[0]) % big
+    assert np.array_equal(cx.coboundary_of(cx.Cochain1(g, big, lam)).table,
+                          c.table.astype(np.int64) * f % big)
+    return lam
+
+
+def _assert_matches_reference(c: cx.Cocycle2, senses=("torus", "mod-m")
+                              ) -> set[bool]:
+    """Check each sense against the reference; return the verdicts seen."""
+    seen = set()
+    for sense in senses:
+        witness = cx.is_coboundary(c, sense=sense)
+        expected = _reference_coboundary(c, sense)
+        if expected is None:
+            assert witness is None, sense
+        else:
+            assert witness is not None, sense
+            assert np.array_equal(witness.table, expected), sense
+        seen.add(witness is not None)
+    return seen
+
+
+def _seeded_shift(c: cx.Cocycle2, rng) -> cx.Cocycle2:
+    lam = rng.integers(0, c.modulus, size=c.group.order)
+    lam[0] = 0
+    return c + cx.coboundary_of(cx.Cochain1(c.group, c.modulus, lam))
+
+
+def test_is_coboundary_matches_the_reference_on_the_p2_catalog(bundle_p2):
+    rng = np.random.default_rng(21)
+    classes = [bundle_p2.cocycle(x) for x in bundle_p2.catalog_names]
+    combos = []
+    for _ in range(20):
+        coeffs = rng.integers(0, 2, size=len(classes))
+        total = cx.Cocycle2.zero(bundle_p2.group, 2)
+        for k, c in zip(coeffs, classes):
+            if k:
+                total = total + c
+        combos.append(total)
+    seen = set()
+    for c in classes + combos:
+        for shifted in (c, _seeded_shift(c, rng)):
+            seen |= _assert_matches_reference(shifted)
+    assert seen == {True, False}
+
+
+def test_is_coboundary_matches_the_reference_on_p3_classes(bundle_p3):
+    rng = np.random.default_rng(22)
+    for name in ("e12", "e23", "e34"):
+        c = bundle_p3.cocycle(name)
+        _assert_matches_reference(c)
+        _assert_matches_reference(_seeded_shift(c, rng), ("torus",))
+    both = bundle_p3.cocycle("e12") + bundle_p3.cocycle("e34")
+    _assert_matches_reference(both, ("torus",))
+
+
+def _q8() -> grp.FiniteGroup:
+    from tests.test_grp import q8_group
+
+    return q8_group()
+
+
+def _z2z4() -> grp.FiniteGroup:
+    return grp.direct_product(grp.cyclic(2), grp.cyclic(4))
+
+
+@pytest.mark.parametrize("make", [dihedral8, _q8, _z2z4],
+                         ids=["dihedral8", "q8", "z2z4"])
+def test_is_coboundary_matches_the_reference_on_small_groups(make):
+    g = make()
+    rng = np.random.default_rng(23)
+    _, reps = cx.h2_small(g)
+    n = g.order
+    seen = set()
+    for _ in range(12):
+        c = cx.Cocycle2.zero(g, n)
+        for r in reps:
+            c = c + r.scale(int(rng.integers(0, n)))
+        seen |= _assert_matches_reference(_seeded_shift(c, rng))
+        # a Z_n-cocycle read mod m | n is a Z_m-cocycle
+        for m in (2, 4):
+            small = cx.Cocycle2(g, m, c.table % m)
+            seen |= _assert_matches_reference(_seeded_shift(small, rng))
+    assert seen == ({True} if make is _q8 else {True, False})
+
+
+def test_the_edge_plan_is_kept_per_modulus(bundle_p2):
+    g = bundle_p2.group
+    c = bundle_p2.cocycle("e12") + bundle_p2.cocycle("e34")
+    rng = np.random.default_rng(24)
+    c = _seeded_shift(c, rng)
+    for sense in ("torus", "mod-m", "torus", "mod-m"):
+        _assert_matches_reference(c, (sense,))
+    assert set(g._cache["edge_plans"]) == {2, 2 * g.exponent()}
+
+
+def test_the_witness_check_reads_every_row_block(monkeypatch):
+    # a table that agrees with a coboundary on every edge (a, gen) but not
+    # in one entry of its last row block: the edge system finds a witness,
+    # and the whole-table check refuses it
+    monkeypatch.setattr(cx, "ROW_BLOCK_ENTRIES", 16)
+    g = dihedral8()
+    rng = np.random.default_rng(25)
+    c = _seeded_shift(cx.Cocycle2.zero(g, 4), rng)
+    gens = set(g.generators)
+    b = next(x for x in range(1, g.order) if x not in gens)
+    t = c.table.astype(np.int64)
+    t[g.order - 1, b] = (t[g.order - 1, b] + 1) % 4
+    bad = cx.Cocycle2(g, 4, t, _verified=True)
+    with pytest.raises(AssertionError):
+        cx.is_coboundary(bad, sense="mod-m")
+    assert cx.is_coboundary(c, sense="mod-m") is not None

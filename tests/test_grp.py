@@ -286,7 +286,8 @@ def test_a_b0_member_scan_builds_no_generators(bundle_p2, monkeypatch):
     g = grp.FiniteGroup(c.group.mul_table(), c.group.generators,
                         _validated=True)
     assert brauer.in_B0(Cocycle2(g, c.modulus, c.table)).member
-    assert len(g._cache["centralizers"]) == len(grp.class_representatives(g))
+    pairs = g._cache["class_pairs"]
+    assert len(pairs.starts) == len(grp.class_representatives(g))
     assert calls == []
     grp.centralizer(g, 1).witness_generators
     assert calls == [grp.centralizer(g, 1).order]
@@ -620,3 +621,30 @@ def test_light_witness_is_the_same_inline_and_pooled(monkeypatch, pooled,
             assert want is None
     assert failing > 30
     assert (pooled._pool is not None) == (cpus > 1)
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[0, 1], [1, 2**32]]),
+    [[0, 1], [1, 2**32]],
+    np.array([[0, 1], [1, 2**32 + 1]], dtype=np.uint64),
+    np.array([[0, 1], [1, -2**32]]),
+], ids=["int64", "python-int", "uint64", "negative"])
+def test_an_entry_that_wraps_into_range_is_rejected(table):
+    # each of these tables narrows to Z2's table in int32
+    with pytest.raises(NotAGroupError, match="out of range"):
+        grp.FiniteGroup(table, [1])
+    with pytest.raises(NotAGroupError, match="out of range"):
+        grp.build_from_cayley(table)
+
+
+def test_a_group_table_is_range_checked_once(monkeypatch):
+    checked = []
+    table32 = grp._int32_table
+
+    def counted(table):
+        checked.append(np.asarray(table).dtype)
+        return table32(table)
+
+    monkeypatch.setattr(grp, "_int32_table", counted)
+    g = grp.build_from_cayley([[(a + b) % 6 for b in range(6)] for a in range(6)])
+    assert g.order == 6 and len(checked) == 1
