@@ -240,7 +240,8 @@ def _least_of_maximal_order(factors: tuple[int, ...], gens: np.ndarray,
     d = np.array(factors, dtype=np.int64)
     orders = d // np.gcd(coords, d)
     top = np.lcm.reduce(orders, axis=1) == factors[0]
-    reps = zmlin.howell_reduce(coords[top] @ gens, trivial, m)
+    reps = zmlin.howell_reduce(zmlin.matmul_mod(coords[top], gens, m),
+                               trivial, m)
     return min(tuple(int(x) for x in row) for row in reps)
 
 

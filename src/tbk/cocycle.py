@@ -15,6 +15,7 @@ finite subgroup, so the lift loses nothing).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -277,17 +278,27 @@ def _word_counts(g: FiniteGroup) -> np.ndarray:
 class EdgePlan:
     """The part of the edge system over Z_modulus that depends on the group.
 
-    ``coef`` is the coefficient block of ``edge_system``, one row per edge
-    (a, gen_j). Edge e has the distinct row distinct[e], which appears
-    first at edge first[distinct[e]], and ``span`` factors the distinct
-    rows for ``zmlin.solve_against``.
+    ``rows`` are the distinct rows of the coefficient block of
+    ``edge_system``, which has one row per edge (a, gen_j): edge e has the
+    row rows[distinct[e]], which appears first at edge first[distinct[e]].
+    ``span`` factors the distinct rows for ``zmlin.solve_against``.
     """
 
     prod: np.ndarray
-    coef: np.ndarray
+    rows: np.ndarray
     distinct: np.ndarray
     first: np.ndarray
     span: zmlin.ColumnSpan
+
+    @cached_property
+    def cycles(self) -> np.ndarray:
+        """The cycle space Y: the left kernel of the distinct rows, built
+        on first use and kept.
+
+        Z/M is quasi-Frobenius, so a column b lies in the column span of
+        the distinct rows exactly when Y @ b == 0.
+        """
+        return zmlin.left_kernel(self.rows, self.span.modulus)
 
 
 def edge_plan(g: FiniteGroup, modulus: int) -> EdgePlan:
@@ -302,22 +313,22 @@ def edge_plan(g: FiniteGroup, modulus: int) -> EdgePlan:
                 % modulus).reshape(g.order * k, k)
         rows, first, distinct = np.unique(coef, axis=0, return_index=True,
                                           return_inverse=True)
-        plans[modulus] = EdgePlan(prod, coef, distinct.reshape(-1), first,
+        plans[modulus] = EdgePlan(prod, rows, distinct.reshape(-1), first,
                                   zmlin.ColumnSpan(rows, modulus))
     return plans[modulus]
 
 
 def edge_system(g: FiniteGroup, edges: np.ndarray, modulus: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray]:
     """The edge constraints d(lambda) = c over Z_modulus.
 
     ``edges`` holds the generator columns of c, edges[a, j] = c(a, gen_j),
     or a stack of them with leading axes. Along the group's BFS tree
     lambda(x) = off[x] + counts[x] . lambda_gens, and d(lambda) agrees with
-    c on the n*k edges (a, gen_j) exactly when coef @ lambda_gens == rhs.
-    Returns (off, coef, rhs) with the leading axes of ``edges`` on off and
-    rhs; coef does not depend on c (it is ``edge_plan``'s) and rhs is
-    linear in it.
+    c on the n*k edges (a, gen_j) exactly when coef @ lambda_gens == rhs,
+    where coef, the plan's rows[distinct], does not depend on c. Returns
+    (off, rhs) with the leading axes of ``edges`` on both; rhs is linear
+    in c.
     """
     n = g.order
     tree = _grp.cayley_tree(g)
@@ -329,7 +340,7 @@ def edge_system(g: FiniteGroup, edges: np.ndarray, modulus: int
         par = tree.parent[lvl]
         off[..., lvl] = (off[..., par] - edges[..., par, tree.letter[lvl]]) % modulus
     rhs = (edges - off[..., :, None] - off[..., None, gens] + off[..., prod]) % modulus
-    return off, plan.coef, rhs.reshape(*edges.shape[:-2], n * len(gens))
+    return off, rhs.reshape(*edges.shape[:-2], n * len(gens))
 
 
 def trivial_combinations(g: FiniteGroup, edges: np.ndarray, modulus: int
@@ -338,18 +349,22 @@ def trivial_combinations(g: FiniteGroup, edges: np.ndarray, modulus: int
 
     ``edges[i]`` holds the generator columns of the Z_m-cocycle c_i. With
     M = m * exp(G) the torus lift of sum t_i c_i is sum t_i (exp(G) c_i)
-    mod M, so its edge right-hand side is linear in t and "d(lambda) equals
-    it on the edges" is one homogeneous system in (lambda_gens, t) over
-    Z_M. The trivial combinations are the t-projection of its solution
-    module, read mod m.
+    mod M, so its edge right-hand side b(t) is linear in t. The edge system
+    coef @ lambda_gens == b(t) is solvable exactly when b(t) agrees on
+    edges that share a coefficient row, and its values on the distinct
+    rows lie in their column span, that is, are killed by the edge plan's
+    cycle space Y. Both conditions are linear in t, so the trivial t are
+    one left kernel over Z_M, read mod m.
     """
     f = g.exponent()
     big = modulus * f
-    _, coef, rhs = edge_system(g, np.asarray(edges, dtype=np.int64) * f, big)
-    k = coef.shape[1]
-    system = np.unique(np.column_stack([coef, -rhs.T]) % big, axis=0)
-    solutions = zmlin.right_kernel(system, big)
-    return zmlin.howell_form(solutions[:, k:] % modulus, modulus)
+    _, rhs = edge_system(g, np.asarray(edges, dtype=np.int64) * f, big)
+    plan = edge_plan(g, big)
+    b = rhs[:, plan.first]
+    conditions = np.hstack([zmlin.matmul_mod(b, plan.cycles.T, big),
+                            rhs - b[:, plan.distinct]])
+    return zmlin.howell_form(zmlin.left_kernel(conditions, big) % modulus,
+                             modulus)
 
 
 def is_coboundary(c: Cocycle2, sense: str = "torus") -> Cochain1 | None:
@@ -378,7 +393,7 @@ def is_coboundary(c: Cocycle2, sense: str = "torus") -> Cochain1 | None:
     big = c.modulus * f
     # exponents in [0, m) times f stay below M = m * f: no reduction needed
     edges = c.table[:, list(g.generators)].astype(np.int64) * f
-    off, _, rhs = edge_system(g, edges, big)
+    off, rhs = edge_system(g, edges, big)
     plan = edge_plan(g, big)
     b = rhs[plan.first]
     if (rhs != b[plan.distinct]).any():

@@ -576,8 +576,14 @@ class Subspace:
         return self.ambient - self.dim
 
     def key(self):
-        return (self.ambient, self.dim,
+        """The hashable form of the basis, computed once per instance and
+        kept in its ``__dict__`` (the dataclass is frozen)."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self.__dict__["_key"] = (
+                self.ambient, self.dim,
                 tuple(x.key() for row in self.basis for x in row))
+        return key
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -98,10 +98,20 @@ class FiniteGroup:
         return k
 
     def exponent(self) -> int:
+        """The lcm of the element orders, found for all elements at once:
+        the k-th step multiplies every power by its element once more, and
+        the elements whose power is back at 1 have order k."""
         if "exponent" not in self._cache:
-            e = 1
-            for g in range(self.order):
-                e = lcm(e, self.order_of(g))
+            e, k = 1, 1
+            els = np.arange(1, self.order)
+            power = els
+            while len(els):
+                k += 1
+                power = self._mul[power, els]
+                if not power.all():
+                    e = lcm(e, k)
+                    live = power != 0
+                    els, power = els[live], power[live]
             self._cache["exponent"] = e
         return self._cache["exponent"]
 
@@ -507,20 +517,33 @@ def closure(seed: Sequence, multiply: Callable, canonical_key: Callable
 
 
 def conjugacy_classes(g: FiniteGroup) -> list[np.ndarray]:
-    """Classes sorted by smallest member; the representative is class[0]."""
+    """Classes sorted by smallest member; the representative is class[0].
+
+    The classes are the components of the graph x -> s x s^-1 over the
+    generators s, since the generators generate every conjugation. Each
+    element's label starts as itself and takes the least label across its
+    edges, in both directions, and then the label of its label, until
+    nothing changes: then every label is the least member of its class.
+    """
     if "classes" in g._cache:
         return g._cache["classes"]
-    n = g.order
     mul, inv = g._mul, g._inv
-    seen = np.zeros(n, dtype=bool)
-    classes = []
-    t = np.arange(n)
-    for x in range(n):
-        if seen[x]:
-            continue
-        orbit = np.unique(mul[mul[t, x], inv[t]])
-        seen[orbit] = True
-        classes.append(orbit)
+    steps = []
+    for s in sorted(set(g.generators) - {0}):
+        steps.append(mul[mul[s], inv[s]])
+        steps.append(mul[mul[inv[s]], s])
+    label = np.arange(g.order, dtype=mul.dtype)
+    while True:
+        new = label
+        for step in steps:
+            new = np.minimum(new, new[step])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    classes = np.split(order.astype(mul.dtype), starts[1:])
     g._cache["classes"] = classes
     return classes
 

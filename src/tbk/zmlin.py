@@ -5,7 +5,8 @@ two matrices have the same row span iff their Howell forms are identical.
 That property (which plain echelon forms lack over a ring with zero
 divisors) is what makes membership tests and kernels decidable here.
 Kernels, solving and quotients all run on ``howell_form`` and the one
-reduction against it, ``howell_reduce``.
+reduction against it, ``howell_reduce``. All of it is int64 arithmetic,
+exact for a modulus below 2^31; ``check_modulus`` refuses larger ones.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from __future__ import annotations
 from math import gcd
 
 import numpy as np
+
+from .errors import InfeasibleError
+
+# moduli from here on overflow the int64 eliminations (see check_modulus)
+MODULUS_LIMIT = 1 << 31
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -51,18 +57,59 @@ def unit_for(a: int, m: int) -> int:
     return modinv(b + t * step, m)
 
 
+def check_modulus(modulus: int) -> None:
+    """Raise ``InfeasibleError`` unless int64 arithmetic mod ``modulus`` is
+    exact here.
+
+    The eliminations form s*a + t*b with |s|, |t|, a, b below the modulus,
+    so every intermediate stays below 2 * modulus^2, which int64 holds for
+    a modulus below ``MODULUS_LIMIT`` = 2^31.
+    """
+    if modulus >= MODULUS_LIMIT:
+        raise InfeasibleError(
+            f"modulus {modulus} is at least 2^31: exact arithmetic mod it "
+            f"would overflow 64-bit integers")
+
+
+def matmul_mod(a, b, modulus: int) -> np.ndarray:
+    """a @ b mod modulus, exact for any modulus below ``MODULUS_LIMIT``.
+
+    Entries are reduced first; the inner dimension is summed in chunks
+    short enough that a chunk's sum of products, plus the running
+    remainder, stays inside int64.
+    """
+    check_modulus(modulus)
+    m = modulus
+    a = np.asarray(a, dtype=np.int64) % m
+    b = np.asarray(b, dtype=np.int64) % m
+    step = max(1, (2**63 - 1 - m) // max(1, (m - 1) ** 2))
+    inner = a.shape[-1]
+    if inner <= step:
+        return (a @ b) % m
+    out = (a[..., :step] @ b[:step]) % m
+    for lo in range(step, inner, step):
+        out += a[..., lo:lo + step] @ b[lo:lo + step]
+        out %= m
+    return out
+
+
 def howell_form(mat, modulus: int) -> np.ndarray:
     """Canonical Howell normal form of the row span of ``mat``.
 
     Column-at-a-time elimination over the whole block: pivots are built by
     unimodular 2x2 combines until their leading entry divides every other
     entry in the column, the column is cleared in one vectorized update,
-    and an annihilator multiple of the pivot keeps the span saturated.
+    and an annihilator multiple of the pivot keeps the span saturated. A
+    column with no live entry is skipped together with every such column
+    after it: one scan of the remaining block finds the next live column.
 
     The live rows never exceed the input rows, so the elimination runs in
     the reduced copy of ``mat``: each pivot takes its row out before it
     puts back at most one annihilator row, and the combines work in place.
+    The closing reduction takes the pivots in column order and brings the
+    pivot column of every row above into [0, d) in one update per pivot.
     """
+    check_modulus(modulus)
     m = modulus
     buf = np.atleast_2d(np.asarray(mat, dtype=np.int64)) % m
     rows, width = buf.shape
@@ -70,11 +117,15 @@ def howell_form(mat, modulus: int) -> np.ndarray:
         return np.zeros((0, width), dtype=np.int64)
     count = rows
     pivots: list[tuple[int, np.ndarray]] = []
-    for j in range(width):
-        col = buf[:count, j]
-        nz = np.nonzero(col)[0]
+    j = 0
+    while j < width and count:
+        nz = np.nonzero(buf[:count, j])[0]
         if len(nz) == 0:
-            continue
+            live = buf[:count, j + 1:].any(axis=0)
+            if not live.any():
+                break
+            j += 1 + int(live.argmax())
+            nz = np.nonzero(buf[:count, j])[0]
         i0 = int(nz[0])
         piv = buf[i0].copy()
         count -= 1
@@ -102,50 +153,89 @@ def howell_form(mat, modulus: int) -> np.ndarray:
             buf[count] = (piv * (m // d)) % m
             count += 1
         pivots.append((j, piv))
-        if count > 64 and j % 32 == 31:
+        if count > 64 and len(pivots) % 32 == 0:
             live = buf[:count].any(axis=1)
             kept = int(live.sum())
             buf[:kept] = buf[:count][live]
             count = kept
+        j += 1
     if not pivots:
         return np.zeros((0, width), dtype=np.int64)
     out = np.array([p for _, p in pivots], dtype=np.int64)
-    for i in range(len(out) - 2, -1, -1):
-        out[i] = howell_reduce(out[i], out[i + 1:], m)
+    for i, (j, _) in enumerate(pivots[1:], 1):
+        q = out[:i, j] // out[i, j]
+        if q.any():
+            out[:i] -= np.outer(q, out[i])
+            out[:i] %= m
     return out
 
 
-def howell_reduce(vecs, howell: np.ndarray, modulus: int) -> np.ndarray:
+def pivot_columns(howell: np.ndarray) -> np.ndarray:
+    """The pivot column of each row of a Howell form."""
+    return (howell != 0).argmax(axis=1)
+
+
+def howell_reduce(vecs, howell: np.ndarray, modulus: int,
+                  pivots=None) -> np.ndarray:
     """Remainder of each row of ``vecs`` modulo the row span of ``howell``.
 
-    ``howell`` is a Howell form. Walking its pivots in order and bringing
+    ``howell`` is a Howell form and ``pivots`` its ``pivot_columns``,
+    found here when not given. Walking its pivots in order and bringing
     each pivot entry into [0, d) gives the lexicographically least element
     of the coset vec + span: by the Howell property, the span elements that
     vanish before a pivot column are spanned by the rows from that pivot
     on. The remainder is zero exactly when vec lies in the span. A 1-D
     ``vecs`` gives a 1-D remainder.
     """
+    check_modulus(modulus)
     m = modulus
     r = np.asarray(vecs, dtype=np.int64) % m
     out = np.atleast_2d(r).copy()
-    for row in howell:
-        j = int(np.flatnonzero(row)[0])
+    if pivots is None:
+        pivots = pivot_columns(howell)
+    for row, j in zip(howell, pivots.tolist()):
         q = out[:, j] // row[j]
         if q.any():
             out = (out - np.outer(q, row)) % m
     return out.reshape(r.shape)
 
 
+def _distinct_columns(a: np.ndarray, modulus: int) -> np.ndarray:
+    """The distinct columns of ``a`` (entries in [0, modulus)), in some order.
+
+    Each block of ``digits`` rows reads, in base modulus, as one int64, so
+    the columns are sorted by a few integer keys instead of as rows of
+    bytes.
+    """
+    digits = 1
+    while modulus ** (digits + 1) <= 2**63:
+        digits += 1
+    keys = [np.array([modulus ** i for i in range(len(block))],
+                     dtype=np.int64) @ block
+            for block in np.split(a, range(digits, len(a), digits))]
+    order = np.lexsort(keys)
+    keys = np.array(keys)[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    return a[:, order[new]]
+
+
 def left_kernel(mat, modulus: int) -> np.ndarray:
-    """Generators of {y : y @ mat == 0 mod modulus}, as Howell-form rows."""
+    """Generators of {y : y @ mat == 0 mod modulus}, as Howell-form rows.
+
+    The kernel depends only on the set of distinct nonzero columns of
+    ``mat``, so the elimination runs over those alone.
+    """
+    check_modulus(modulus)
     a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-    k, n = a.shape
+    k = a.shape[0]
     if modulus == 1:
-        return np.eye(k, dtype=np.int64) * 0
-    aug = np.hstack([a % modulus, np.eye(k, dtype=np.int64)])
-    h = howell_form(aug, modulus)
-    mask = ~h[:, :n].any(axis=1) if len(h) else np.zeros(0, dtype=bool)
-    return h[mask][:, n:] if len(h) else np.zeros((0, k), dtype=np.int64)
+        return np.zeros((k, k), dtype=np.int64)
+    a = a % modulus
+    a = _distinct_columns(a[:, a.any(axis=0)], modulus)
+    n = a.shape[1]
+    h = howell_form(np.hstack([a, np.eye(k, dtype=np.int64)]), modulus)
+    return h[~h[:, :n].any(axis=1)][:, n:]
 
 
 def right_kernel(mat, modulus: int) -> np.ndarray:
@@ -166,11 +256,12 @@ class ColumnSpan:
     pairs column i of mat with the unit coefficient vector e_i, so its span
     holds (mat @ x, x) for every x. ``null`` holds its rows whose first
     part vanishes, the Howell-form rows of the null space (the left kernel
-    of mat^T). The factor depends on mat and the modulus only, so one
-    factor serves any number of right-hand sides.
+    of mat^T). ``pivots`` and ``null_pivots`` are their pivot columns. The
+    factor depends on mat and the modulus only, so one factor serves any
+    number of right-hand sides.
     """
 
-    __slots__ = ("howell", "rows", "null", "modulus")
+    __slots__ = ("howell", "pivots", "rows", "null", "null_pivots", "modulus")
 
     def __init__(self, mat, modulus: int):
         a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
@@ -178,8 +269,11 @@ class ColumnSpan:
         h = howell_form(np.hstack([a.T % modulus, np.eye(cols, dtype=np.int64)]),
                         modulus)
         self.howell = h
+        self.pivots = pivot_columns(h)
         self.rows = rows
-        self.null = h[~h[:, :rows].any(axis=1)][:, rows:]
+        in_null = self.pivots >= rows
+        self.null = h[in_null][:, rows:]
+        self.null_pivots = self.pivots[in_null] - rows
         self.modulus = modulus
 
 
@@ -196,8 +290,9 @@ def solve_against(span: ColumnSpan, rhs_rows) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(rhs_rows, dtype=np.int64).reshape(-1, rows)
     cols = span.howell.shape[1] - rows
     r = howell_reduce(np.hstack([b, np.zeros((len(b), cols), dtype=np.int64)]),
-                      span.howell, m)
-    return howell_reduce(-r[:, rows:], span.null, m), ~r[:, :rows].any(axis=1)
+                      span.howell, m, span.pivots)
+    return (howell_reduce(-r[:, rows:], span.null, m, span.null_pivots),
+            ~r[:, :rows].any(axis=1))
 
 
 def solve(mat, rhs, modulus: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -228,6 +323,7 @@ def smith_form(mat, modulus: int, track_vinv: bool = False):
     accumulated column operations, maps to the i-th coordinate vector. The
     cokernel (Z/m)^cols / rowspan(mat) is the direct sum of Z/diag[i].
     """
+    check_modulus(modulus)
     m = modulus
     a = np.atleast_2d(np.asarray(mat, dtype=np.int64)) % m
     a = a.copy()
@@ -356,4 +452,4 @@ def quotient(gens, sub, modulus: int) -> tuple[tuple[int, ...], np.ndarray]:
     diag, vinv = smith_form(pres, m, track_vinv=True)
     order = sorted((i for i, d in enumerate(diag) if d > 1),
                    key=lambda i: -diag[i])
-    return tuple(int(diag[i]) for i in order), (vinv[order] @ g) % m
+    return tuple(int(diag[i]) for i in order), matmul_mod(vinv[order], g, m)

@@ -114,6 +114,36 @@ def test_cli_coboundary_and_check(workdir, capsys):
     assert code == 0 and payload["results"]["is_coboundary"] is False
 
 
+def _coboundary_file(path, modulus: int) -> None:
+    """d(lambda) on Z4 x Z6 over Z_modulus, lambda seeded."""
+    g = grp.direct_product(grp.cyclic(4), grp.cyclic(6))
+    lam = np.random.default_rng(3).integers(0, modulus, size=g.order)
+    lam[0] = 0
+    c = cx.coboundary_of(cx.Cochain1(g, modulus, lam))
+    path.write_text(fileio.dump_json(fileio.encode_cocycle(c)))
+
+
+def test_cli_coboundary_refuses_a_modulus_past_the_int64_bound(
+        tmp_path, capsys):
+    # 2^40 + 15 used to overflow the elimination and fail the witness check
+    # with a traceback; the torus lift M = m * exp G = 12 (2^31 - 1) too
+    big = 2**40 + 15
+    _coboundary_file(tmp_path / "big.json", big)
+    code, _, err = _run(["cocycle", "coboundary", "--cocycle",
+                         str(tmp_path / "big.json"), "--sense", "mod-m"], capsys)
+    assert code == 4 and str(big) in err
+    edge = 2**31 - 1
+    _coboundary_file(tmp_path / "edge.json", edge)
+    code, _, err = _run(["cocycle", "coboundary", "--cocycle",
+                         str(tmp_path / "edge.json")], capsys)
+    assert code == 4 and str(12 * edge) in err
+    # just below the bound the decision stands, with a checked witness
+    code, payload, _ = _run(["cocycle", "coboundary", "--cocycle",
+                             str(tmp_path / "edge.json"), "--sense", "mod-m"],
+                            capsys)
+    assert code == 0 and payload["results"]["is_coboundary"] is True
+
+
 def test_cli_twisted_assoc(workdir, capsys):
     code, payload, _ = _run(
         ["twisted", "assoc-check", "--cocycle", str(workdir / "pairing.json")],

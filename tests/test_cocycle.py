@@ -967,3 +967,79 @@ def test_the_witness_check_reads_every_row_block(monkeypatch):
     with pytest.raises(AssertionError):
         cx.is_coboundary(bad, sense="mod-m")
     assert cx.is_coboundary(c, sense="mod-m") is not None
+
+
+# Reference for trivial_combinations: the homogeneous edge system in
+# (lambda_gens, t) over Z_M, deduplicated, solved by a right kernel and
+# projected onto t.
+def reference_trivial_combinations(g: grp.FiniteGroup, edges, modulus: int
+                                   ) -> np.ndarray:
+    f = g.exponent()
+    big = modulus * f
+    _, rhs = cx.edge_system(g, np.asarray(edges, dtype=np.int64) * f, big)
+    plan = cx.edge_plan(g, big)
+    coef = plan.rows[plan.distinct]
+    k = coef.shape[1]
+    system = np.unique(np.column_stack([coef, -rhs.T]) % big, axis=0)
+    solutions = zmlin.right_kernel(system, big)
+    return zmlin.howell_form(solutions[:, k:] % modulus, modulus)
+
+
+def _catalog_edges(bundle) -> np.ndarray:
+    gens = list(bundle.group.generators)
+    return np.array([bundle.cocycle(x).table[:, gens]
+                     for x in bundle.catalog_names])
+
+
+@pytest.mark.parametrize("fixture", ["bundle_p2", "bundle_p2_literal",
+                                     "bundle_p3"])
+def test_trivial_combinations_match_the_reference_on_the_catalogs(
+        fixture, request):
+    bundle = request.getfixturevalue(fixture)
+    g, m = bundle.group, bundle.cocycle(bundle.catalog_names[0]).modulus
+    edges = _catalog_edges(bundle)
+    rng = np.random.default_rng(26)
+    subsets = [np.arange(len(edges))] + [
+        rng.permutation(len(edges))[:rng.integers(1, len(edges) + 1)]
+        for _ in range(3)]
+    for pick in subsets:
+        got = cx.trivial_combinations(g, edges[pick], m)
+        assert np.array_equal(
+            got, reference_trivial_combinations(g, edges[pick], m))
+    assert len(got)
+
+
+def test_trivial_combinations_match_the_reference_in_h2_small(monkeypatch):
+    real = cx.trivial_combinations
+    checked = []
+
+    def compared(g, edges, m):
+        got = real(g, edges, m)
+        assert np.array_equal(
+            got, reference_trivial_combinations(g, edges, m)), g
+        checked.append(g.order)
+        return got
+
+    monkeypatch.setattr(cx, "trivial_combinations", compared)
+    groups = _h2_test_groups()
+    for name in sorted(groups):
+        cx.h2_small(groups[name])
+    assert len(checked) == len(groups) - 1      # Z1 has nothing to solve
+
+
+def test_the_cycle_space_kills_exactly_the_column_span(bundle_p2):
+    # Y @ b == 0 iff b lies in the column span of the distinct edge rows
+    g = bundle_p2.group
+    big = 2 * g.exponent()
+    plan = cx.edge_plan(g, big)
+    rows = plan.rows
+    assert plan.cycles is plan.cycles
+    assert not zmlin.matmul_mod(plan.cycles, rows, big).any()
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        b = rng.integers(0, big, size=len(rows))
+        if rng.integers(2):
+            b = zmlin.matmul_mod(rows, rng.integers(0, big, size=rows.shape[1]),
+                                 big)
+        _, feasible = zmlin.solve_against(plan.span, b)
+        assert feasible[0] == (not zmlin.matmul_mod(plan.cycles, b, big).any())

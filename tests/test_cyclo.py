@@ -273,6 +273,16 @@ def test_subspace_canonical_and_containment():
     assert not a.contains(Subspace.from_vectors(3, [[1, 0, 0]]))
 
 
+def test_subspace_key_is_computed_once_and_matches_a_fresh_one():
+    a = Subspace.from_vectors(3, [[1, CycloNumber.zeta(4), 0], [0, 0, 1]])
+    first = a.key()
+    assert a.key() is first
+    again = Subspace.from_vectors(3, [[2, 2 * CycloNumber.zeta(4), 0],
+                                      [0, 0, 5]])
+    assert again.key() == first and again == a
+    assert first == (3, 2, tuple(x.key() for row in a.basis for x in row))
+
+
 def test_direct_sum_and_tensor_shapes():
     a = CycloMatrix([[0, 1], [1, 0]])
     b = CycloMatrix.identity(3)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -199,6 +200,47 @@ def test_conjugacy_classes():
     all_els = sorted(int(x) for c in classes for x in c)
     assert all_els == list(range(8))
     assert all(8 % len(c) == 0 for c in classes)
+
+
+def _orbit_classes(g: grp.FiniteGroup) -> list[np.ndarray]:
+    """Classes by definition: the orbit {t x t^-1 : t in G} of each element
+    not yet seen, in element order."""
+    mul, inv = g.mul_table(), g.inv_table()
+    t = np.arange(g.order)
+    seen = np.zeros(g.order, dtype=bool)
+    out = []
+    for x in range(g.order):
+        if not seen[x]:
+            orbit = np.unique(mul[mul[t, x], inv[t]])
+            seen[orbit] = True
+            out.append(orbit)
+    return out
+
+
+def _relabelled(g: grp.FiniteGroup, seed: int) -> grp.FiniteGroup:
+    """g with its non-identity elements shuffled, generators following."""
+    rng = np.random.default_rng(seed)
+    perm = np.concatenate([[0], 1 + rng.permutation(g.order - 1)])
+    back = np.argsort(perm)
+    mul = perm[g.mul_table()[np.ix_(back, back)]]
+    return grp.FiniteGroup(mul, [int(perm[s]) for s in g.generators])
+
+
+def test_conjugacy_classes_match_the_orbit_definition(bundle_p2):
+    from tests.test_cocycle import alternating4, dihedral8
+
+    c, dp = grp.cyclic, grp.direct_product
+    groups = [c(1), c(9), s3_group(), q8_group(), dihedral8(), alternating4(),
+              dp(s3_group(), q8_group()), dp(dihedral8(), c(3)),
+              bundle_p2.group]
+    groups += [_relabelled(g, seed) for seed, g in enumerate(groups[2:])]
+    for g in groups:
+        got, want = grp.conjugacy_classes(g), _orbit_classes(g)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        orders = {g.order_of(x) for x in range(g.order)}
+        assert g.exponent() == math.lcm(*orders)
 
 
 def test_centralizer_and_class_equation():

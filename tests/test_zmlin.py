@@ -5,12 +5,16 @@ import random
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from tbk.errors import InfeasibleError
 from tbk.zmlin import (
+    MODULUS_LIMIT,
     egcd,
     howell_form,
     howell_reduce,
     left_kernel,
+    matmul_mod,
     quotient,
     right_kernel,
     smith_form,
@@ -157,6 +161,100 @@ def test_howell_form_matches_incremental_basis_on_wide_matrices():
             for row in a:
                 basis.insert(row)
             assert np.array_equal(howell_form(a, m), basis.rows())
+
+
+def _sparse_matrix(rng: random.Random, m: int, rows: int, cols: int
+                   ) -> np.ndarray:
+    """A random matrix with runs of zero columns between its live ones."""
+    a = np.zeros((rows, cols), dtype=np.int64)
+    j = 0
+    while j < cols:
+        j += rng.choice((0, 0, 1, rng.randrange(2, 12)))
+        if j < cols:
+            a[:, j] = [rng.randrange(m) if rng.random() < 0.6 else 0
+                       for _ in range(rows)]
+            j += 1
+    return a
+
+
+def test_howell_form_matches_incremental_basis_across_zero_runs_and_many_pivots():
+    # runs of zero columns exercise the jump to the next live column; tall
+    # matrices give a pivot in most columns, so the closing reduction
+    # updates many rows above each pivot
+    rng = random.Random(43)
+    for m in (8, 12, 27, 36):
+        for shape in [(rng.randrange(1, 7), rng.randrange(1, 80))
+                      for _ in range(40)] + \
+                [(rng.randrange(10, 30), rng.randrange(8, 24))
+                 for _ in range(20)]:
+            a = _sparse_matrix(rng, m, *shape)
+            basis = HowellBasis(m, shape[1])
+            for row in a:
+                basis.insert(row)
+            assert np.array_equal(howell_form(a, m), basis.rows())
+
+
+def test_left_kernel_ignores_duplicate_and_zero_columns():
+    rng = random.Random(47)
+    for m in (2, 6, 8, 12, 27):
+        for _ in range(30):
+            rows, cols = rng.randrange(1, 7), rng.randrange(1, 8)
+            a = np.array(
+                [[rng.randrange(m) for _ in range(cols)] for _ in range(rows)],
+                dtype=np.int64,
+            )
+            picks = [rng.randrange(cols) for _ in range(rng.randrange(1, 10))]
+            padded = np.hstack([a, a[:, picks] + m * rng.randrange(-2, 3),
+                                np.zeros((rows, rng.randrange(1, 4)),
+                                         dtype=np.int64)])
+            order = list(range(padded.shape[1]))
+            rng.shuffle(order)
+            assert np.array_equal(left_kernel(padded[:, order], m),
+                                  left_kernel(a, m))
+    # past the integer column keys (m^rows >= 2^63) the columns still merge
+    m = 1 << 30
+    a = np.array([[rng.randrange(m) for _ in range(2)] for _ in range(3)],
+                 dtype=np.int64)
+    got = left_kernel(np.hstack([a, a, np.zeros((3, 1), dtype=np.int64)]), m)
+    assert np.array_equal(got, left_kernel(a, m))
+    for y in got:
+        assert not matmul_mod(y, a, m).any()
+
+
+def test_moduli_from_two_to_the_31_are_refused():
+    # 2 * M^2 must fit int64; past that the arithmetic would wrap silently
+    limit = MODULUS_LIMIT
+    assert limit == 2**31
+    a = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    for call in (lambda m: howell_form(a, m), lambda m: left_kernel(a, m),
+                 lambda m: right_kernel(a, m), lambda m: solve(a, [1, 1], m),
+                 lambda m: smith_form(a, m), lambda m: howell_reduce(a, a, m),
+                 lambda m: matmul_mod(a, a, m)):
+        with pytest.raises(InfeasibleError, match=str(limit + 7)):
+            call(limit + 7)
+        call(limit - 1)
+
+
+def test_matmul_mod_is_exact_below_the_limit():
+    rng = random.Random(53)
+    for m in (2**31 - 1, 2**30 + 3, 97, 1):
+        for inner in (1, 2, 3, 17):
+            a = [[rng.randrange(m) for _ in range(inner)] for _ in range(3)]
+            b = [[rng.randrange(m) for _ in range(2)] for _ in range(inner)]
+            want = [[sum(a[i][t] * b[t][j] for t in range(inner)) % m
+                     for j in range(2)] for i in range(3)]
+            assert matmul_mod(a, b, m).tolist() == want
+
+
+def test_solve_near_the_limit_is_exact():
+    m = 2**31 - 1
+    rng = random.Random(59)
+    a = np.array([[rng.randrange(m) for _ in range(3)] for _ in range(4)],
+                 dtype=np.int64)
+    x0 = [rng.randrange(m) for _ in range(3)]
+    b = matmul_mod(a, x0, m)
+    x, _ = solve(a, b, m)
+    assert np.array_equal(matmul_mod(a, x, m), b)
 
 
 def test_left_kernel_of_wide_matrix_runs_in_bounded_memory():
