@@ -1027,6 +1027,25 @@ def test_trivial_combinations_match_the_reference_in_h2_small(monkeypatch):
     assert len(checked) == len(groups) - 1      # Z1 has nothing to solve
 
 
+def test_trivial_combinations_match_the_reference_on_arbitrary_edge_data():
+    # on cocycles the rows that agree on shared coefficient rows already
+    # decide every case the tests reach; arbitrary edge columns make the
+    # cycle-space condition bind as well, and both sides solve the same
+    # edge system
+    import tests.test_grp as tg
+
+    rng = np.random.default_rng(28)
+    groups = [dihedral8(), tg.q8_group(), alternating4(), tg.s3_group(),
+              grp.direct_product(grp.cyclic(2), grp.cyclic(4))]
+    for g in groups:
+        for m in (2, 3, 4, 6):
+            edges = rng.integers(0, m, size=(5, g.order, len(g.generators)))
+            edges[:, 0] = 0
+            assert np.array_equal(
+                cx.trivial_combinations(g, edges, m),
+                reference_trivial_combinations(g, edges, m))
+
+
 def test_the_cycle_space_kills_exactly_the_column_span(bundle_p2):
     # Y @ b == 0 iff b lies in the column span of the distinct edge rows
     g = bundle_p2.group
