@@ -114,12 +114,12 @@ class BicyclicVerdict:
 def _cyclic_quotient_exists_with_open_fixed_space(
         a: Subgroup, model: LinearActionModel) -> tuple[bool, Subgroup | None, int]:
     """First K <= A by (order, elements) with A/K cyclic and V^K meeting U."""
-    rep = model.rep
     for k_sub in sorted(_grp.cyclic_quotient_kernels(a),
                         key=lambda s: (s.order, s.elements)):
-        w = _rep.joint_fixed_space(rep, k_sub.witness_generators)
-        if _rep.meets_complement(w, model):
-            return True, k_sub, rep.degree - w.dim
+        meets, codim = _rep.joint_fixed_space_meets(
+            model, k_sub.witness_generators)
+        if meets:
+            return True, k_sub, codim
     return False, None, -1
 
 

@@ -287,7 +287,7 @@ def cmd_bg_test(args) -> int:
     c = _match_group(c, group)
     results: dict = {"method": args.method,
                      "threshold": model.codim_threshold,
-                     "arrangement_size": len(model.arrangement)}
+                     "arrangement_size": model.arrangement_size}
     if args.method == "pairs":
         v = _br.in_BG(c, model)
         results.update(
@@ -429,7 +429,7 @@ def cmd_example(args) -> int:
         "relations_hold": True,
         "catalog": bundle.catalog_names,
         "threshold": bundle.model.codim_threshold,
-        "arrangement_size": len(bundle.model.arrangement),
+        "arrangement_size": bundle.model.arrangement_size,
         "min_nonidentity_codim": min_codim,
         "codim_survey": {str(c): len(s)
                          for c, s in survey.spaces_by_codim.items()},

@@ -558,12 +558,17 @@ class BilinearForm:
 
 
 def from_bilinear_form(form: BilinearForm) -> Cocycle2:
-    """Bilinear pairings are always cocycles on abelian groups."""
+    """Bilinear pairings are always cocycles on abelian groups.
+
+    The table d B d^T is reduced mod m after each product
+    (``zmlin.matmul_mod``), so it is exact for every modulus below
+    ``zmlin.MODULUS_LIMIT``; a larger one raises ``InfeasibleError``.
+    """
     n = form.group.order
     d = np.array([form.structure.dlog[g] for g in range(n)], dtype=np.int64)
-    mat = np.asarray(form.matrix, dtype=np.int64)
-    tab = (d @ mat @ d.T) % form.modulus
-    return Cocycle2(form.group, form.modulus, tab, _verified=True)
+    m = form.modulus
+    tab = zmlin.matmul_mod(zmlin.matmul_mod(d, form.matrix, m), d.T, m)
+    return Cocycle2(form.group, m, tab, _verified=True)
 
 
 def antisym(c: Cocycle2, g: int, h: int) -> int:
@@ -573,11 +578,6 @@ def antisym(c: Cocycle2, g: int, h: int) -> int:
         raise NonCommutingPairError(f"elements {g}, {h} do not commute",
                                     witness=(g, h))
     return int(c.beta(g, h))
-
-
-def symmetric_on(c: Cocycle2, a: Subgroup) -> bool:
-    els = np.array(a.elements)
-    return not c.beta(els[:, None], els).any()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .errors import (
     DimensionMismatchError,
@@ -279,10 +279,6 @@ class RootOfUnity:
             raise ValueError("modulus must be positive")
         object.__setattr__(self, "exponent", self.exponent % self.modulus)
 
-    def _reduced(self) -> tuple[int, int]:
-        g = gcd(self.exponent, self.modulus)
-        return self.exponent // g, self.modulus // g
-
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         m = lcm(self.modulus, other.modulus)
         k = self.exponent * (m // self.modulus) + other.exponent * (m // other.modulus)
@@ -300,9 +296,6 @@ class RootOfUnity:
             raise IncompatibleOrdersError(
                 f"root of order {self.modulus} does not embed in Q(zeta_{order})")
         return CycloNumber.zeta(order, self.exponent * (order // self.modulus))
-
-    def same_value(self, other: "RootOfUnity") -> bool:
-        return self._reduced() == other._reduced()
 
 
 class CycloMatrix:
@@ -441,9 +434,6 @@ class CycloMatrix:
                     acc = acc + x * v
             out.append(acc)
         return tuple(out)
-
-    def transpose(self) -> "CycloMatrix":
-        return CycloMatrix(list(zip(*self.entries)))
 
     def tensor(self, other: "CycloMatrix") -> "CycloMatrix":
         a, b = CycloMatrix._aligned(self, other)

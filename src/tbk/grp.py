@@ -434,48 +434,61 @@ def order_cap() -> int:
     return DEFAULT_ORDER_CAP
 
 
-def closure(seed: Sequence, multiply: Callable, canonical_key: Callable
-            ) -> tuple[FiniteGroup, list]:
+def _take(batch, idx):
+    """Elements ``idx`` of a batch, as a batch of the same kind."""
+    if isinstance(batch, np.ndarray):
+        return batch[np.asarray(idx, dtype=np.intp)]
+    return [batch[i] for i in idx]
+
+
+def closure(seed, multiply: Callable, canonical_key: Callable
+            ) -> tuple[FiniteGroup, Sequence]:
     """Close a finite set of abstract elements under an associative product.
 
-    Breadth-first search by word length with lexicographic ``canonical_key``
-    tie-breaks inside each level, so the element order is deterministic.
-    Returns the group (identity relocated to index 0) and the elements in
-    the group's index order. A closure that would pass ``order_cap()``
-    elements raises ``OrderBoundExceededError`` as it finds the next one.
+    Elements travel in batches: a list, or a numpy array whose first axis
+    runs over the elements. ``multiply(xs, ys)`` returns the batch of all
+    products x*y, x-major, and ``canonical_key(batch)`` one hashable,
+    sortable key per element. Breadth-first search by word length, one
+    level at a time (the products of the seeds with a level in one call),
+    with ``canonical_key`` tie-breaks inside each level, so the element
+    order is deterministic. Returns the group (identity relocated to index
+    0, the other elements kept in order) and the elements in the group's
+    index order, as a batch of the seed's kind. A closure that would pass
+    ``order_cap()`` elements raises ``OrderBoundExceededError`` at the
+    level that finds the next one.
 
-    The multiplication table is completed without extra oracle calls: every
-    BFS element is x*s with s a seed letter, so column h = y*s satisfies
-    mul[g][h] = mul[mul[g][y]][s] once the seed columns are known. That
-    n x n table of 4-byte entries is predicted as the elements are found:
-    once it would exceed ``_memory_budget()`` the closure raises
+    The product is associative, and so is the table it gives; that table
+    is a group once index 0 is a two-sided identity and every element has
+    a right inverse, which is all that is checked. It is completed without
+    extra oracle calls: every BFS element is s*y with s a seed and y in the
+    level before, so row h = s*y is (s*y)*k = s*(y*k), row y read through
+    row s. That n x n table of 4-byte entries is predicted as the elements
+    are found: once it would exceed ``_memory_budget()`` the closure raises
     ``InfeasibleError`` before anything of that size is allocated.
     """
-    if not seed:
+    if not len(seed):
         raise NotAGroupError("closure needs at least one seed element")
     bound = order_cap()
     budget = _memory_budget()
-    keyed = sorted({canonical_key(x): x for x in seed}.items())
-    elements = [x for _, x in keyed]
-    index = {k: i for i, (k, _) in enumerate(keyed)}
-    seeds = list(range(len(elements)))
-    parent: dict[int, tuple[int, int]] = {}
-    prod_of_seed: dict[tuple[int, int], int] = {}
-
-    level = list(seeds)
-    while level:
-        pending: dict = {}  # key -> (object, first parent)
-        prods: list[tuple[tuple[int, int], object]] = []
-        for x in level:
-            for s in seeds:
-                p = multiply(elements[x], elements[s])
-                k = canonical_key(p)
-                if k not in index and k not in pending:
-                    pending[k] = (p, (x, s))
-                prods.append(((x, s), k))
-        for k in sorted(pending):
-            p, par = pending[k]
-            i = len(elements)
+    first: dict = {}
+    for pos, k in enumerate(canonical_key(seed)):
+        first.setdefault(k, pos)
+    index = {k: i for i, k in enumerate(sorted(first))}
+    seeds = _take(seed, [first[k] for k in index])
+    m = len(index)
+    batches = [seeds]
+    seed_rows = []  # per level, the index of each product s*x, s-major
+    parents = []    # (y, s) of every non-seed element, in index order
+    level, start = seeds, 0
+    while len(level):
+        prods = multiply(seeds, level)
+        pkeys = canonical_key(prods)
+        fresh: dict = {}
+        for pos, k in enumerate(pkeys):
+            if k not in index and k not in fresh:
+                fresh[k] = pos
+        base = len(index)
+        for i in range(base, base + len(fresh)):
             if i >= bound:
                 raise OrderBoundExceededError(f"closure exceeded bound {bound}")
             if (i + 1) ** 2 * 4 > budget:
@@ -483,33 +496,44 @@ def closure(seed: Sequence, multiply: Callable, canonical_key: Callable
                     f"closure reached {i + 1} elements; their multiplication "
                     f"table would take {(i + 1) ** 2 * 4} bytes, more than "
                     f"the {budget} bytes of memory available")
-            index[k] = i
-            elements.append(p)
-            parent[i] = par
-        for pair, k in prods:
-            prod_of_seed[pair] = index[k]
-        level = [index[k] for k in sorted(pending)]
+        found = []
+        for k in sorted(fresh):
+            index[k] = len(index)
+            found.append(fresh[k])
+        seed_rows.append(np.reshape([index[k] for k in pkeys], (m, -1)))
+        parents.extend((start + pos % len(level), pos // len(level))
+                       for pos in found)
+        level, start = _take(prods, found), base
+        batches.append(level)
 
-    n = len(elements)
-    mul = np.full((n, n), -1, dtype=np.int32)
-    for s in seeds:
-        mul[:, s] = [prod_of_seed[(x, s)] for x in range(n)]
-    # every non-seed h was first seen as y*s with y of smaller index, so
-    # column h follows from column y by one gather: g(ys) = (gy)s
-    for h in range(n):
-        if mul[0, h] >= 0:
-            continue
-        y, s = parent[h]
-        mul[:, h] = mul[mul[:, y], s]
-
-    # locate the identity: its column is the identity permutation
-    ident = [h for h in range(n) if (mul[:, h] == np.arange(n)).all()]
+    # the identity e is the one element with s*e = s for every seed; it
+    # takes index 0 and the others keep their order
+    n = len(index)
+    left = np.concatenate(seed_rows, axis=1)
+    ident = np.flatnonzero((left == np.arange(m)[:, None]).all(axis=0))
     if len(ident) != 1:
         raise NotAGroupError("closure did not produce a unique identity")
-    mul, order, pos = _identity_first(mul, ident[0])
-    elements = [elements[i] for i in order]
-    gens = sorted({int(pos[s]) for s in seeds} - {0}) or [0]
-    return FiniteGroup(mul, gens), elements
+    ar = np.arange(n)
+    order = np.concatenate((ident, np.delete(ar, ident)))
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = ar
+    mul = np.empty((n, n), dtype=np.int32)
+    mul[pos[:m]] = pos[left[:, order]]
+    parent = np.array(parents, dtype=np.intp).reshape(-1, 2)
+    lo = m
+    for batch in batches[1:]:
+        hi = lo + len(batch)
+        h, (y, s) = pos[lo:hi], parent[lo - m:hi - m].T
+        for t in range(m):
+            pick = s == t
+            mul[h[pick]] = mul[pos[t]].take(mul[pos[y[pick]]])
+        lo = hi
+    if (mul[0] != ar).any() or (mul[:, 0] != ar).any():
+        raise NotAGroupError("closure did not produce a unique identity")
+    elements = _take(np.concatenate(batches) if isinstance(seeds, np.ndarray)
+                     else [x for b in batches for x in b], order)
+    gens = sorted(set(pos[:m].tolist()) - {0}) or [0]
+    return FiniteGroup(mul, gens, _validated=True), elements
 
 
 # ---------------------------------------------------------------------------

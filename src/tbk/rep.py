@@ -4,9 +4,10 @@ A representation holds one exact matrix per group element, produced by
 closing a generator set; fixed-point subspaces, eigenspaces, stabilizers
 and the arrangement Z (the locus removed to form U = V minus Z) are all
 computed from those matrices with no rounding anywhere. When every
-generator is monomial (one root of unity per column) the group is closed
-and its fixed spaces are read on integer (permutation, phase) arrays, and
-each matrix is built only when it is asked for.
+generator is monomial (one root of unity per column) the group is closed,
+its fixed spaces are read and the open set is decided on integer
+(permutation, phase) arrays, and each matrix is built only when it is
+asked for.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import lcm
+
+import numpy as np
 
 from . import grp as _grp
 from .cyclo import CycloMatrix, CycloNumber, RootOfUnity, Subspace, kernel
@@ -28,15 +31,16 @@ from .grp import FiniteGroup, Subgroup
 class MonomialMatrices(Sequence):
     """Monomial matrices as (permutation, phase) pairs, built on demand.
 
-    Element g is ``elements[g] = (perm, phase)``, the matrix M with
-    M e_j = w^phase[j] e_perm[j], where ``roots[k]`` is w^k for a primitive
-    root of unity w of order ``len(roots)`` in Q(zeta_order): zeta_order
-    itself for even orders, -zeta_order^((order + 1) / 2) for odd ones,
-    since -1 is a root of unity of every Q(zeta_n). Indexing builds the
-    CycloMatrix of g from that one table of roots and keeps it.
+    Element g is ``elements[g] = (perm, phase)``, an integer array of shape
+    (2, degree): the matrix M with M e_j = w^phase[j] e_perm[j], where
+    ``roots[k]`` is w^k for a primitive root of unity w of order
+    ``len(roots)`` in Q(zeta_order): zeta_order itself for even orders,
+    -zeta_order^((order + 1) / 2) for odd ones, since -1 is a root of unity
+    of every Q(zeta_n). Indexing builds the CycloMatrix of g from that one
+    table of roots and keeps it.
     """
 
-    def __init__(self, elements, roots: tuple[CycloNumber, ...],
+    def __init__(self, elements: np.ndarray, roots: tuple[CycloNumber, ...],
                  degree: int, order: int):
         self.elements = elements
         self.roots = roots
@@ -54,7 +58,7 @@ class MonomialMatrices(Sequence):
         if m is None:
             zero = CycloNumber.rational(0, self.order)
             rows = [[zero] * self.degree for _ in range(self.degree)]
-            perm, phase = self.elements[g]
+            perm, phase = self.elements[g].tolist()
             for j, (i, k) in enumerate(zip(perm, phase)):
                 rows[i][j] = self.roots[k]
             m = self._built[g] = CycloMatrix(rows, self.order)
@@ -67,8 +71,9 @@ class MatrixRep:
 
     ``generator_indices`` holds the element index of each generator the
     representation was closed from, in the order they were given. Fixed
-    spaces are kept in ``_cache``, per representation: two representations
-    of one group have different ones.
+    spaces, and every element's codimension and fixed-space key
+    (``_fixed_keys``), are kept in ``_cache``, per representation: two
+    representations of one group have different ones.
     """
 
     group: FiniteGroup
@@ -92,15 +97,11 @@ class MatrixRep:
 def joint_fixed_space(rep: MatrixRep, members) -> Subspace:
     """V^K: the vectors that every element of ``members`` fixes.
 
-    For a monomial representation this is an orbit walk on coordinates: on
-    an orbit of <members>, a fixed vector satisfies
-    c_perm_s(j) = w^phase_s[j] c_j, so it is determined by its value at the
-    orbit's smallest index. An orbit whose phases conflict carries only
-    zero; every other orbit gives one vector with 1 at its smallest index.
-    These vectors have disjoint supports, so in order of their smallest
-    index they are already the canonical reduced echelon basis that
-    ``kernel`` returns. Otherwise it is the exact kernel of the stacked
-    matrices M_s - I (the whole space for no members).
+    For a monomial representation this is read off ``_orbit_code``: the
+    vectors of the consistent orbits have disjoint supports, so in order of
+    their smallest index they are already the canonical reduced echelon
+    basis that ``kernel`` returns. Otherwise it is the exact kernel of the
+    stacked matrices M_s - I (the whole space for no members).
     """
     mats = rep.matrices
     if not isinstance(mats, MonomialMatrices):
@@ -108,12 +109,31 @@ def joint_fixed_space(rep: MatrixRep, members) -> Subspace:
         rows = [list(r) for s in members or (0,)
                 for r in (mats[s] - eye).entries]
         return kernel(CycloMatrix(rows))
-    gens = [mats.elements[s] for s in members]
     modulus = len(mats.roots)
     zero = CycloNumber.rational(0, rep.order)
-    phase_of: list[int | None] = [None] * rep.degree
-    basis = []
-    for start in range(rep.degree):
+    basis: dict[int, list] = {}  # filled in order of the orbits' starts
+    for j, c in enumerate(_orbit_code(mats, members)):
+        if c >= 0:
+            basis.setdefault(c // modulus, [zero] * rep.degree)[j] = \
+                mats.roots[c % modulus]
+    return Subspace(rep.degree, rep.order, tuple(map(tuple, basis.values())))
+
+
+def _orbit_code(mats: MonomialMatrices, members) -> list[int]:
+    """V^K on integers: per coordinate j, start * K + e, or -1.
+
+    On an orbit of <members>, a fixed vector satisfies
+    c_perm_s(j) = w^phase_s[j] c_j, so it is determined by its value at the
+    orbit's smallest index, its start. An orbit whose phases conflict
+    carries only zero, and its coordinates get -1; every other orbit gives
+    the vector with 1 at its start and w^e at each of its coordinates j.
+    K = ``len(mats.roots)``.
+    """
+    gens = mats.elements[list(members)].tolist()
+    modulus = len(mats.roots)
+    phase_of: list[int | None] = [None] * mats.degree
+    code = [-1] * mats.degree
+    for start in range(mats.degree):
         if phase_of[start] is not None:
             continue
         phase_of[start] = 0
@@ -128,37 +148,147 @@ def joint_fixed_space(rep: MatrixRep, members) -> Subspace:
                 elif phase_of[t] != want:
                     consistent = False
         if consistent:
-            row = [zero] * rep.degree
             for j in orbit:
-                row[j] = mats.roots[phase_of[j]]
-            basis.append(tuple(row))
-    return Subspace(rep.degree, rep.order, tuple(basis))
+                code[j] = start * modulus + phase_of[j]
+    return code
 
 
-@dataclass(frozen=True)
+def _element_codes(mats: MonomialMatrices) -> np.ndarray:
+    """``_orbit_code`` of every element at once, as an n x degree array.
+
+    The orbits of one element are the cycles of its permutation. Every
+    coordinate j walks its cycle for degree steps and keeps the smallest
+    index it meets (the cycle's start), the phase sum from j to that start,
+    and the phase sum once around the cycle, taken when the walk first
+    returns to j. A cycle is consistent iff its sum is 0 mod K, and then
+    its vector has w^e at j for e minus the sum from j to the start.
+    """
+    perm, phase = mats.elements[:, 0], mats.elements[:, 1]
+    modulus = len(mats.roots)
+    here = np.broadcast_to(np.arange(mats.degree), perm.shape)
+    pos, low = here.copy(), here.copy()
+    acc, to_low = np.zeros_like(pos), np.zeros_like(pos)
+    around = np.full_like(pos, -1)
+    for _ in range(mats.degree):
+        acc = (acc + np.take_along_axis(phase, pos, axis=1)) % modulus
+        pos = np.take_along_axis(perm, pos, axis=1)
+        lower = pos < low
+        low[lower] = pos[lower]
+        to_low[lower] = acc[lower]
+        back = (pos == here) & (around < 0)
+        around[back] = acc[back]
+    return np.where(around == 0, low * modulus + -to_low % modulus, -1)
+
+
+def _fixed_by_any(elements: np.ndarray, code: list[int], modulus: int) -> bool:
+    """Whether some (perm, phase) pair fixes every vector of a coded space:
+    maps each coordinate j of a vector into that vector (coordinates off
+    every support hold -1), with the phase there the phase at j plus
+    phase[j]."""
+    code = np.array(code, dtype=np.intp)
+    support = np.flatnonzero(code >= 0)
+    have = code[support]
+    perm, phase = elements[:, 0, support], elements[:, 1, support]
+    want = have - have % modulus + (have + phase) % modulus
+    return bool((code[perm] == want).all(axis=1).any())
+
+
+def _fixed_keys(rep: MatrixRep) -> tuple[np.ndarray, list]:
+    """Codimension and fixed-space key of every element, kept per rep.
+
+    On a monomial representation both come from ``_element_codes``, and a
+    key is a code as a tuple. Otherwise they come from the exact fixed
+    spaces, and a key is (order, ``Subspace.key()``).
+    """
+    cache = rep._cache
+    if "fixed_keys" not in cache:
+        mats = rep.matrices
+        if isinstance(mats, MonomialMatrices):
+            codes = _element_codes(mats)
+            starts = np.arange(rep.degree) * len(mats.roots)
+            dims = (codes == starts).sum(axis=1)
+            keys = list(map(tuple, codes.tolist()))
+        else:
+            spaces = [rep.fixed_space(g) for g in range(rep.group.order)]
+            dims = np.array([w.dim for w in spaces])
+            keys = [(w.order, w.key()) for w in spaces]
+        cache["fixed_keys"] = (rep.degree - dims, keys)
+    return cache["fixed_keys"]
+
+
 class LinearActionModel:
     """Representation plus a stable arrangement of proper subspaces.
 
+    An explicit model is given its members, as a model file lists them. A
+    threshold model (``build_model``, no members given) is the arrangement
+    of all fixed spaces of codimension at least ``codim_threshold``: it
+    reads the codimension and fixed-space key of every element
+    (``_fixed_keys``) and builds its members only when ``arrangement`` is
+    read.
+
     What depends only on the arrangement is computed once per model and
-    kept in ``_cache``: the members grouped by dimension here; in
-    ``brauer``, the open-set flags and, per bicyclic subgroup A of the
+    kept in ``_cache``: the open-set decisions (``meets_complement``) here;
+    in ``brauer``, the open-set flags and, per bicyclic subgroup A of the
     bicyclic scan, its first admissible kernel K.
     """
 
-    rep: MatrixRep
-    arrangement: tuple[Subspace, ...]
-    codim_threshold: int | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    def __init__(self, rep: MatrixRep, arrangement=None,
+                 codim_threshold: int | None = None):
+        if arrangement is None and codim_threshold is None:
+            raise ValueError("a model needs members or a threshold")
+        self.rep = rep
+        self.codim_threshold = codim_threshold
+        self.explicit = arrangement is not None
+        self._cache: dict = {}
+        if self.explicit:
+            self._cache["arrangement"] = tuple(arrangement)
 
     @property
     def group(self) -> FiniteGroup:
         return self.rep.group
 
+    @property
+    def arrangement(self) -> tuple[Subspace, ...]:
+        if "arrangement" not in self._cache:
+            spaces = map(self.rep.fixed_space, self._members().values())
+            self._cache["arrangement"] = tuple(
+                sorted(spaces, key=lambda w: (w.codim, w.key())))
+        return self._cache["arrangement"]
+
+    @property
+    def arrangement_size(self) -> int:
+        return len(self.arrangement) if self.explicit else len(self._members())
+
     def members_by_dim(self) -> dict[int, dict[tuple, Subspace]]:
         if "members_by_dim" not in self._cache:
             self._cache["members_by_dim"] = _members_by_dim(self.arrangement)
         return self._cache["members_by_dim"]
+
+    def _members(self) -> dict:
+        """Threshold model: each member's key -> the first g with V^g on it."""
+        if "members" not in self._cache:
+            codims, keys = _fixed_keys(self.rep)
+            members: dict = {}
+            for g in np.flatnonzero(codims >= self.codim_threshold).tolist():
+                members.setdefault(keys[g], g)
+            self._cache["members"] = members
+        return self._cache["members"]
+
+    def _meets(self, key, codim: int, fixed_by_member) -> bool:
+        """Threshold model: whether W meets U, memoized under W's key.
+
+        W lies in no member iff codim W < t (every member is smaller), or
+        else W is no member and no g with codim V^g >= t fixes it
+        pointwise, which ``fixed_by_member(elements)`` decides.
+        """
+        if codim < self.codim_threshold:
+            return True
+        memo = self._cache.setdefault("meets", {})
+        if key not in memo:
+            codims, _ = _fixed_keys(self.rep)
+            memo[key] = key not in self._members() and not fixed_by_member(
+                np.flatnonzero(codims >= self.codim_threshold))
+        return memo[key]
 
 
 @dataclass(frozen=True)
@@ -208,54 +338,56 @@ def _monomial_elements(mats, order: int):
         if not all(k in exponent for k in keys):
             return None
         elements.append((perm, tuple(exponent[k] for k in keys)))
-    return tuple(roots), elements
+    return tuple(roots), np.array(elements, dtype=np.intp)
 
 
 def _monomial_product(modulus: int):
-    """Product of (perm, phase) pairs, with phases taken mod ``modulus``.
+    """All products of two batches of (perm, phase) pairs, x-major.
 
     (perm_a, phase_a)(perm_b, phase_b) = (perm_a o perm_b,
     phase_b + phase_a o perm_b): column j of M_b is w^phase_b[j] in row
     perm_b[j], which M_a sends to row perm_a[perm_b[j]] times
-    w^phase_a[perm_b[j]].
+    w^phase_a[perm_b[j]]. Phases are taken mod ``modulus``.
     """
-    def multiply(a, b):
-        perm_a, phase_a = a
-        perm_b, phase_b = b
-        return (tuple(perm_a[k] for k in perm_b),
-                tuple((e + phase_a[k]) % modulus
-                      for e, k in zip(phase_b, perm_b)))
+    def multiply(xs, ys):
+        perm_b, phase_b = ys[:, 0], ys[:, 1]
+        perm = xs[:, 0][:, perm_b]
+        phase = (xs[:, 1][:, perm_b] + phase_b) % modulus
+        return np.stack((perm, phase), axis=2).reshape(-1, *ys.shape[1:])
     return multiply
 
 
 def _monomial_key(roots: tuple[CycloNumber, ...], degree: int, order: int):
-    """``CycloMatrix.key`` of a (perm, phase) pair, character for character.
+    """Keys that sort (perm, phase) pairs as ``CycloMatrix.key`` sorts
+    their matrices.
 
-    The closure therefore orders the pairs exactly as it would order their
-    matrices. Row i holds one nonzero entry, in column perm^-1(i); the text
-    of each (column, phase) row is written once.
+    Row i of the matrix holds one nonzero entry, w^phase[j] in column
+    j = perm^-1(i), so its text in the key depends on (j, phase[j]) alone.
+    Every row's text but the last is followed by "|", which no text holds,
+    so two keys compare as their rows' texts do one by one, each with its
+    "|". A key is therefore each row's rank among the degree * len(roots)
+    row texts (with "|", or without it in the last row), as fixed-width
+    big-endian bytes, which sort as the tuples of ranks do.
     """
     def text(x: CycloNumber) -> str:
         return ",".join(f"{c.numerator}/{c.denominator}" for c in x.coeffs)
 
+    modulus = len(roots)
     zero = text(CycloNumber.rational(0, order))
-    head = f"{degree}x{degree}@{order}|"
-    row_text: dict[tuple[int, int], str] = {}
+    texts = [";".join(text(root) if i == j else zero for i in range(degree))
+             for j in range(degree) for root in roots]  # (j, k) at j * K + k
+    inner = np.argsort(np.argsort([t + "|" for t in texts])).astype(">u4")
+    last = np.argsort(np.argsort(texts)).astype(">u4")
+    width = 4 * degree
 
-    def key(element) -> str:
-        perm, phase = element
-        source = [0] * degree
-        for j, i in enumerate(perm):
-            source[i] = j
-        parts = []
-        for j in source:
-            part = row_text.get((j, phase[j]))
-            if part is None:
-                cells = [zero] * degree
-                cells[j] = text(roots[phase[j]])
-                part = row_text[(j, phase[j])] = ";".join(cells)
-            parts.append(part)
-        return head + "|".join(parts)
+    def key(batch) -> list[bytes]:
+        source = np.argsort(batch[:, 0], axis=1)
+        phase = np.take_along_axis(batch[:, 1], source, axis=1)
+        code = source * modulus + phase
+        rank = inner[code]
+        rank[:, -1] = last[code[:, -1]]
+        buf = rank.tobytes()
+        return [buf[i:i + width] for i in range(0, len(buf), width)]
     return key
 
 
@@ -271,10 +403,11 @@ def matrix_closure(generators, order: int | None = None
     permutation, which for invertible matrices is the identity matrix.
 
     Monomial generators (see ``_monomial_elements``) are invertible as they
-    stand and are closed as (perm, phase) pairs under keys equal to the
-    matrices' own, so the element order and the table are those of the
-    matrix closure; their matrices are built on demand. Other generators
-    are checked for invertibility and closed as matrices.
+    stand and are closed as integer arrays of (perm, phase) pairs, one
+    level of products in one gather, under keys that sort as the matrices'
+    own (``_monomial_key``), so the element order and the table are those
+    of the matrix closure; their matrices are built on demand. Other
+    generators are checked for invertibility and closed as matrices.
     """
     mats = []
     for raw in generators:
@@ -299,14 +432,17 @@ def matrix_closure(generators, order: int | None = None
             except SingularMatrixError as exc:
                 raise NonInvertibleGeneratorError(
                     f"generator {i} is singular") from exc
-        seeds, multiply, key = mats, (lambda a, b: a * b), (lambda m: m.key())
+        seeds, multiply, key = (mats,
+                                lambda xs, ys: [x * y for x in xs for y in ys],
+                                lambda ms: [m.key() for m in ms])
     else:
         roots, seeds = monomial
         multiply = _monomial_product(len(roots))
         key = _monomial_key(roots, degree, n)
     group, elements = _grp.closure(seeds, multiply, key)
-    index = {key(elements[g]): g for g in (0, *group.generators)}
-    generator_indices = tuple(index[key(s)] for s in seeds)
+    picks = [0, *group.generators]
+    index = dict(zip(key(_grp._take(elements, picks)), picks))
+    generator_indices = tuple(index[k] for k in key(seeds))
     matrices = (tuple(elements) if monomial is None
                 else MonomialMatrices(elements, roots, degree, n))
     return group, MatrixRep(group, degree, n, matrices, generator_indices)
@@ -381,15 +517,21 @@ def meets_complement(w: Subspace, arrangement) -> bool:
     iff it lies in one of them, so this decides whether w meets the open
     complement of the union.
 
-    The decision goes by dimension first, since w inside Z forces
-    dim w <= dim Z. With no member of dimension at least dim w, w meets
-    the complement; for a threshold model that is exactly codim w < t.
-    When w is itself a member it does not; for a threshold model every
-    fixed space of codimension at least t is one. Only otherwise do the
-    members of dimension at least dim w go through ``Subspace.contains``.
-    ``arrangement`` is a sequence of subspaces, or a model, which groups
-    its members by dimension once instead of on every call.
+    A threshold model decides it without its members (``_meets``), by
+    M_g v == v on w's basis.
+
+    Otherwise the decision goes by dimension first, since w inside Z forces
+    dim w <= dim Z. With no member of dimension at least dim w, w meets the
+    complement. When w is itself a member it does not. Only otherwise do
+    the members of dimension at least dim w go through
+    ``Subspace.contains``. ``arrangement`` is a sequence of subspaces, or a
+    model, which groups its members by dimension once instead of on every
+    call.
     """
+    if isinstance(arrangement, LinearActionModel) and not arrangement.explicit:
+        mats = arrangement.rep.matrices
+        return arrangement._meets((w.order, w.key()), w.codim, lambda gs: any(
+            all(mats[g].matvec(v) == v for v in w.basis) for g in gs.tolist()))
     by_dim = (arrangement.members_by_dim()
               if isinstance(arrangement, LinearActionModel)
               else _members_by_dim(arrangement))
@@ -402,23 +544,37 @@ def meets_complement(w: Subspace, arrangement) -> bool:
     return not any(z.contains(w) for z in candidates)
 
 
+def joint_fixed_space_meets(model: LinearActionModel, members
+                            ) -> tuple[bool, int]:
+    """Whether V^K meets the open set, and codim V^K, for K = <members>.
+
+    A threshold model on a monomial representation decides from the
+    ``_orbit_code`` of V^K, without building the subspace.
+    """
+    rep = model.rep
+    mats = rep.matrices
+    if model.explicit or not isinstance(mats, MonomialMatrices):
+        w = joint_fixed_space(rep, members)
+        return meets_complement(w, model), w.codim
+    modulus = len(mats.roots)
+    code = _orbit_code(mats, members)
+    codim = rep.degree - sum(c == j * modulus for j, c in enumerate(code))
+    return model._meets(
+        tuple(code), codim,
+        lambda gs: _fixed_by_any(mats.elements[gs], code, modulus)), codim
+
+
 def build_model(rep: MatrixRep, threshold: int) -> LinearActionModel:
-    """Arrangement of all fixed spaces with codimension >= threshold.
+    """The threshold model: all fixed spaces of codimension >= threshold.
 
     It is stable by construction: s V^h = V^(s h s^-1), which has the same
-    codimension, so nothing is re-checked.
+    codimension, so nothing is re-checked. Its members are built only when
+    ``arrangement`` is read.
     """
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
-    degree = rep.degree
-    seen = {}
-    for g in range(1, rep.group.order):
-        w = rep.fixed_space(g)
-        if degree - w.dim >= threshold:
-            seen.setdefault(w.key(), w)
-    arrangement = tuple(w for _, w in sorted(
-        seen.items(), key=lambda kw: (degree - kw[1].dim, kw[0])))
-    return LinearActionModel(rep, arrangement, threshold)
+    _fixed_keys(rep)
+    return LinearActionModel(rep, None, threshold)
 
 
 def _assert_stable(rep: MatrixRep, arrangement) -> None:
@@ -442,10 +598,9 @@ def _assert_stable(rep: MatrixRep, arrangement) -> None:
 def fixed_locus_survey(model: LinearActionModel) -> FixedLocusSurvey:
     """Per-class fixed space, codimension and openness flags.
 
-    A flag is ``meets_complement`` of the class's fixed space, which
-    decides by dimension before it tests any containment: a fixed space
-    larger than every member meets the open set, and one that is a member
-    does not. For a threshold model that leaves no containment test at all.
+    For a threshold model a flag is codim < t: a fixed space larger than
+    every member meets the open set, and one of codimension at least t is a
+    member. Otherwise it is ``meets_complement`` of the class's fixed space.
     """
     rep = model.rep
     g = rep.group
@@ -456,7 +611,8 @@ def fixed_locus_survey(model: LinearActionModel) -> FixedLocusSurvey:
         x = int(cls[0])
         w = rep.fixed_space(x)
         codim = degree - w.dim
-        flag = meets_complement(w, model)
+        flag = (meets_complement(w, model) if model.explicit
+                else codim < model.codim_threshold)
         records.append(FixedLocusRecord(x, len(cls), codim, w, flag))
         if x != 0:
             by_codim.setdefault(codim, {})[w.key()] = w

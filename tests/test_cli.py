@@ -48,6 +48,19 @@ def test_round_trip_group(tmp_path):
     assert np.array_equal(again.mul_table(), k.mul_table())
 
 
+def test_from_bilinear_refuses_a_modulus_it_cannot_reduce_exactly(
+        tmp_path, capsys):
+    g = grp.direct_product(grp.cyclic(4), grp.cyclic(6))
+    (tmp_path / "g.json").write_text(fileio.dump_json(fileio.encode_group(g)))
+    big = 2 ** 60 + 1
+    code, payload, err = _run(
+        ["cocycle", "from-bilinear", "--group", str(tmp_path / "g.json"),
+         "--modulus", str(2 * big), "--matrix", json.dumps([[big, big]] * 2)],
+        capsys)
+    assert code == 4 and payload == {}
+    assert "at least 2^31" in err
+
+
 def test_round_trip_cocycle():
     c = pairing_cocycle(klein())
     raw = json.loads(fileio.dump_json(fileio.encode_cocycle(c)))

@@ -261,6 +261,30 @@ def test_symmetric_form_is_torus_coboundary():
     assert cx.is_coboundary(c, sense="torus") is not None
 
 
+def test_from_bilinear_form_is_exact_or_refuses_the_modulus():
+    # Z4 x Z6, factors (12, 2): with every entry 2^60 + 1 mod 2 (2^60 + 1),
+    # an int64 d B d^T wrapped and 465 of the 576 entries differed from
+    # BilinearForm.value
+    g = grp.direct_product(grp.cyclic(4), grp.cyclic(6))
+    structure = grp.abelian_structure(g)
+    assert structure.invariant_factors == (12, 2)
+    big = 2 ** 60 + 1
+    form = cx.BilinearForm(g, structure, 2 * big, ((big, big), (big, big)))
+    with pytest.raises(InfeasibleError) as info:
+        cx.from_bilinear_form(form)
+    assert info.value.exit_code == 4
+    # the largest modulus below the limit that the factors allow entries in
+    m = zmlin.MODULUS_LIMIT - zmlin.MODULUS_LIMIT % 12
+    half, twelfth = m // 2, m // 12
+    form = cx.BilinearForm(g, structure, m,
+                           ((11 * twelfth, half), (half, half)))
+    c = cx.from_bilinear_form(form)
+    assert [[c.value(x, y) for y in range(g.order)] for x in range(g.order)] \
+        == [[form.value(x, y) for y in range(g.order)]
+            for x in range(g.order)]
+    assert cx.is_cocycle(c)[0]
+
+
 def test_coboundary_solver_agrees_with_symmetry_on_klein():
     # exhaustive: every normalized 2-cochain over Z_2, filtered to cocycles
     g = klein()
@@ -281,13 +305,19 @@ def test_coboundary_solver_agrees_with_symmetry_on_klein():
     assert found >= 16
 
 
+def symmetric_on(c: cx.Cocycle2, a: grp.Subgroup) -> bool:
+    """Whether c(x, y) = c(y, x) on every pair of elements of a."""
+    els = np.array(a.elements)
+    return not c.beta(els[:, None], els).any()
+
+
 def test_restrict_to_cyclic_is_always_trivial():
     c = pairing_cocycle(klein())
     g = c.group
     for x in range(1, 4):
         h = grp.subgroup_generated(g, [x])
         res = cx.restrict(c, h)
-        assert cx.symmetric_on(c, h)
+        assert symmetric_on(c, h)
         assert cx.is_coboundary(res, sense="torus") is not None
 
 
@@ -296,13 +326,13 @@ def test_bicyclic_triviality_matches_thm_criterion():
     g = klein()
     whole = grp.subgroup_generated(g, [1, 2])
     anti = pairing_cocycle(g)
-    assert not cx.symmetric_on(anti, whole)
+    assert not symmetric_on(anti, whole)
     assert cx.is_coboundary(anti, sense="torus") is None
     structure = grp.abelian_structure(g)
     mat = np.array([[1, 0], [0, 0]], dtype=np.int64)
     sym = cx.from_bilinear_form(cx.BilinearForm(g, structure, 2,
                                                 tuple(map(tuple, mat))))
-    assert cx.symmetric_on(sym, whole)
+    assert symmetric_on(sym, whole)
     assert cx.is_coboundary(sym, sense="torus") is not None
 
 

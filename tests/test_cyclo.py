@@ -164,12 +164,17 @@ def test_order_bound_enforced():
         _ = a * b
 
 
+def same_value(r: RootOfUnity, s: RootOfUnity) -> bool:
+    """Whether two roots of unity are the same complex number."""
+    return Fraction(r.exponent, r.modulus) == Fraction(s.exponent, s.modulus)
+
+
 def test_root_of_unity_group_law():
     r = RootOfUnity(4, 1)
     s = RootOfUnity(6, 1)
     t = r * s
     assert t.modulus == 12 and t.exponent == (3 + 2) % 12
-    assert (r * r.inverse()).same_value(RootOfUnity(1, 0))
+    assert same_value(r * r.inverse(), RootOfUnity(1, 0))
     # embedding into a cyclotomic field is a homomorphism
     assert (r * s).to_cyclo(12) == r.to_cyclo(12) * s.to_cyclo(12)
 
@@ -198,7 +203,7 @@ def test_kernel_rank_nullity_and_exactness():
         for v in k.basis:
             assert all(x.is_zero() for x in m.matvec(v))
         # rank + nullity
-        img = Subspace.from_vectors(rows, [list(r) for r in m.transpose().entries])
+        img = Subspace.from_vectors(rows, [list(c) for c in zip(*m.entries)])
         assert img.dim + k.dim == cols
 
 

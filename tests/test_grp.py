@@ -17,6 +17,20 @@ from tbk.errors import (
 )
 
 
+def products(mul):
+    """The batched product ``grp.closure`` takes, from a product of two."""
+    return lambda xs, ys: [mul(x, y) for x in xs for y in ys]
+
+
+def keys(key):
+    """The batched key ``grp.closure`` takes, from a key of one element."""
+    return lambda batch: [key(x) for x in batch]
+
+
+MATRIX_PRODUCTS = products(lambda a, b: a * b)
+MATRIX_KEYS = keys(lambda m: m.key())
+
+
 def s3_group() -> grp.FiniteGroup:
     perms = sorted(itertools.permutations(range(3)))
     index = {p: i for i, p in enumerate(perms)}
@@ -122,7 +136,7 @@ def test_identity_relocation():
 
 def test_closure_trivial_and_involutions():
     one = (1,)
-    g, els = grp.closure([one], lambda a, b: a, lambda x: x)
+    g, els = grp.closure([one], products(lambda a, b: a), keys(lambda x: x))
     assert g.order == 1
 
     # two anticommuting 2x2 involutions generate a group of order 8
@@ -130,7 +144,7 @@ def test_closure_trivial_and_involutions():
 
     P = cyclo.CycloMatrix([[0, 1], [1, 0]])
     Q = cyclo.CycloMatrix([[1, 0], [0, -1]])
-    g, els = grp.closure([P, Q], lambda a, b: a * b, lambda m: m.key())
+    g, els = grp.closure([P, Q], MATRIX_PRODUCTS, MATRIX_KEYS)
     assert g.order == 8
     assert els[0].is_identity()
 
@@ -143,10 +157,9 @@ def test_closure_bound(monkeypatch):
     monkeypatch.setenv("TBK_MAX_ORDER", "5")
     with pytest.raises(OrderBoundExceededError,
                        match="^closure exceeded bound 5$"):
-        grp.closure([P, Q], lambda a, b: a * b, lambda m: m.key())
+        grp.closure([P, Q], MATRIX_PRODUCTS, MATRIX_KEYS)
     monkeypatch.setenv("TBK_MAX_ORDER", "8")
-    assert grp.closure([P, Q], lambda a, b: a * b,
-                       lambda m: m.key())[0].order == 8
+    assert grp.closure([P, Q], MATRIX_PRODUCTS, MATRIX_KEYS)[0].order == 8
 
 
 def test_order_cap_reads_the_environment(monkeypatch):
@@ -159,12 +172,14 @@ def test_order_cap_reads_the_environment(monkeypatch):
     monkeypatch.setenv("TBK_MAX_ORDER", "many")
     with pytest.raises(MalformedError,
                        match="TBK_MAX_ORDER must be an integer, got 'many'"):
-        grp.closure([1], lambda a, b: (a + b) % 2, lambda x: x)
+        grp.closure([1], products(lambda a, b: (a + b) % 2),
+                    keys(lambda x: x))
 
 
 def test_closure_predicts_its_table_against_the_memory_budget(monkeypatch):
     def z_mod(n):
-        return grp.closure([1], lambda a, b: (a + b) % n, lambda x: x)
+        return grp.closure([1], products(lambda a, b: (a + b) % n),
+                           keys(lambda x: x))
 
     # Z_12: a 12 x 12 table of 4-byte entries takes 576 bytes
     monkeypatch.setattr(grp, "_memory_budget", lambda: 576)
@@ -180,8 +195,8 @@ def test_closure_is_deterministic():
 
     P = cyclo.CycloMatrix([[0, 1], [1, 0]])
     Q = cyclo.CycloMatrix([[1, 0], [0, -1]])
-    g1, els1 = grp.closure([P, Q], lambda a, b: a * b, lambda m: m.key())
-    g2, els2 = grp.closure([Q, P], lambda a, b: a * b, lambda m: m.key())
+    g1, els1 = grp.closure([P, Q], MATRIX_PRODUCTS, MATRIX_KEYS)
+    g2, els2 = grp.closure([Q, P], MATRIX_PRODUCTS, MATRIX_KEYS)
     assert np.array_equal(g1.mul_table(), g2.mul_table())
     assert [m.key() for m in els1] == [m.key() for m in els2]
 
@@ -424,7 +439,7 @@ def test_abelian_structure_klein_in_d4():
 
     rot = cyclo.CycloMatrix([[0, -1], [1, 0]])
     ref = cyclo.CycloMatrix([[1, 0], [0, -1]])
-    d4, _ = grp.closure([rot, ref], lambda a, b: a * b, lambda m: m.key())
+    d4, _ = grp.closure([rot, ref], MATRIX_PRODUCTS, MATRIX_KEYS)
     assert d4.order == 8
     # find a Klein four subgroup
     invs = [x for x in range(8) if d4.order_of(x) <= 2]

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from tbk import brauer as br
+from tbk import cocycle as cx
 from tbk import example as ex
 from tbk import grp
 from tbk import rep as rp
@@ -168,6 +171,7 @@ def test_meets_complement_on_every_fixed_space_p2(bundle_p2):
     for g in range(b.group.order):
         w = b.rep.fixed_space(g)
         _assert_decides_like_reference(w, model.arrangement, model)
+        assert rp.meets_complement(w, b.model) == rp.meets_complement(w, model)
         # threshold model: open exactly below the threshold codimension
         assert rp.meets_complement(w, model) == (
             w.codim < model.codim_threshold)
@@ -269,7 +273,8 @@ def test_codim_is_conjugation_invariant(bundle_p2):
 def reference_closure(generators, order):
     """The matrix closure on CycloMatrix products and keys."""
     return grp.closure([m.embed(order) for m in generators],
-                       lambda a, b: a * b, lambda m: m.key())
+                       lambda xs, ys: [x * y for x in xs for y in ys],
+                       lambda ms: [m.key() for m in ms])
 
 
 def reference_pointwise_fixed_space(rep, members):
@@ -387,3 +392,232 @@ def test_monomial_closure_over_odd_orders_matches_matrix_closure():
             _assert_same_subspace(
                 rp.joint_fixed_space(rep, members),
                 reference_pointwise_fixed_space(rep, members))
+
+
+# --- the batched closure and threshold models against their references ------
+
+
+def string_monomial_key(roots, degree: int, order: int):
+    """``CycloMatrix.key`` of a (perm, phase) pair, character for character:
+    the closure's key before it ranked the rows' texts."""
+    def text(x: CycloNumber) -> str:
+        return ",".join(f"{c.numerator}/{c.denominator}" for c in x.coeffs)
+
+    zero = text(CycloNumber.rational(0, order))
+
+    def key(element) -> str:
+        perm, phase = element
+        source = [0] * degree
+        for j, i in enumerate(perm):
+            source[i] = j
+        rows = []
+        for j in source:
+            cells = [zero] * degree
+            cells[j] = text(roots[phase[j]])
+            rows.append(";".join(cells))
+        return f"{degree}x{degree}@{order}|" + "|".join(rows)
+    return key
+
+
+def reference_monomial_closure(generators, order: int):
+    """The monomial closure one product at a time, as it was before levels
+    were batched: BFS over x*s, each level sorted by ``string_monomial_key``,
+    the table filled by g(ys) = (gy)s, the identity moved to index 0.
+    Returns the table, the group's generators, the elements as
+    (perm, phase) tuples and the index of each given generator."""
+    roots, given = rp._monomial_elements(
+        [m.embed(order) for m in generators], order)
+    degree = generators[0].rows
+    modulus = len(roots)
+    key = string_monomial_key(roots, degree, order)
+
+    def multiply(a, b):
+        return (tuple(a[0][k] for k in b[0]),
+                tuple((e + a[1][k]) % modulus for e, k in zip(b[1], b[0])))
+
+    given = [(tuple(p), tuple(e)) for p, e in given.tolist()]
+    keyed = sorted({key(x): x for x in given}.items())
+    elements = [x for _, x in keyed]
+    index = {k: i for i, (k, _) in enumerate(keyed)}
+    m = len(elements)
+    right, parent = {}, {}
+    level = list(range(m))
+    while level:
+        fresh = {}
+        for x in level:
+            for s in range(m):
+                p = multiply(elements[x], elements[s])
+                k = right[x, s] = key(p)
+                if k not in index:
+                    fresh.setdefault(k, (p, (x, s)))
+        level = []
+        for k in sorted(fresh):
+            index[k] = len(elements)
+            elements.append(fresh[k][0])
+            parent[index[k]] = fresh[k][1]
+            level.append(index[k])
+    n = len(elements)
+    mul = np.full((n, n), -1, dtype=np.int64)
+    for s in range(m):
+        mul[:, s] = [index[right[x, s]] for x in range(n)]
+    for h in range(m, n):
+        y, s = parent[h]
+        mul[:, h] = mul[mul[:, y], s]
+    e = elements.index((tuple(range(degree)), (0,) * degree))
+    order_ = [e] + [i for i in range(n) if i != e]
+    pos = np.argsort(order_)
+    table = pos[mul[np.ix_(order_, order_)]]
+    gens = sorted({int(pos[s]) for s in range(m)} - {0}) or [0]
+    return (table, tuple(gens), [elements[i] for i in order_],
+            tuple(int(pos[index[key(x)]]) for x in given))
+
+
+@pytest.mark.parametrize("p, convention", [
+    (2, "involution"), (2, "literal"), (3, "involution")])
+def test_batched_closure_matches_the_string_keyed_closure(p, convention):
+    gens, n = ex.block_generators(p, convention)
+    g, rep = rp.matrix_closure(gens, order=n)
+    table, ref_gens, elements, indices = reference_monomial_closure(gens, n)
+    assert np.array_equal(g.mul_table(), table)
+    assert g.generators == ref_gens
+    assert rep.generator_indices == indices
+    assert [(tuple(perm), tuple(phase)) for perm, phase
+            in rep.matrices.elements.tolist()] == elements
+
+
+def test_rank_keys_sort_as_string_keys():
+    # random (perm, phase) pairs, rows of one text prefixing another's
+    # included: degree 12 gives columns 1 and 10, whose texts share a prefix
+    rng = np.random.default_rng(3)
+    roots, _ = rp._monomial_elements([CycloMatrix.identity(12, 6)], 6)
+    ranks = rp._monomial_key(roots, 12, 6)
+    strings = string_monomial_key(roots, 12, 6)
+    batch = np.stack([np.stack((rng.permutation(12), rng.integers(0, 6, 12)))
+                      for _ in range(300)])
+    batch[1::2, 0] = batch[0::2, 0]  # pairs that differ in phases only
+    by_rank = sorted(range(300), key=ranks(batch).__getitem__)
+    by_string = sorted(range(300), key=lambda i: strings(batch[i].tolist()))
+    assert by_rank == by_string
+
+
+@pytest.mark.parametrize("bundle", ["bundle_p2", "bundle_p2_literal",
+                                    "bundle_p3"])
+def test_element_codimensions_equal_the_fixed_spaces(bundle, request):
+    rep = request.getfixturevalue(bundle).rep
+    codims, keys = rp._fixed_keys(rep)
+    mats = rep.matrices
+    for g in range(rep.group.order):
+        code = rp._orbit_code(mats, [g])
+        assert keys[g] == tuple(code)
+        assert codims[g] == rep.degree - len(
+            {c // len(mats.roots) for c in code if c >= 0})
+        if rep.group.order <= 128:
+            eye = CycloMatrix.identity(rep.degree, rep.order)
+            assert codims[g] == kernel(rep.matrices[g] - eye).codim
+        else:
+            assert codims[g] == rep.fixed_space(g).codim
+
+
+def _scan_decisions(monkeypatch, model):
+    """Every (members, meets, codim) the bicyclic scan asks of a fresh model,
+    over all bicyclic subgroups (the zero class fails on none)."""
+    seen = []
+    decide = rp.joint_fixed_space_meets
+
+    def recording(m, members):
+        out = decide(m, members)
+        seen.append((tuple(members), *out))
+        return out
+
+    monkeypatch.setattr(rp, "joint_fixed_space_meets", recording)
+    assert br.in_BG_bicyclic(cx.Cocycle2.zero(model.group, 2), model).member
+    monkeypatch.undo()
+    return seen
+
+
+def _assert_scan_decides_like_per_member_contains(monkeypatch, rep, model):
+    """The scan's decisions against ``Subspace.contains`` on the members of
+    the materialized arrangement, per distinct V^K. A member contains itself,
+    and a member whose vectors' supports miss a coordinate of V^K's cannot
+    contain it, so only the others go through ``contains``."""
+    def support(w):
+        return {j for v in w.basis for j, x in enumerate(v) if not x.is_zero()}
+
+    arrangement = rp.build_model(rep, model.codim_threshold).arrangement
+    members = {(z.order, z.key()) for z in arrangement}
+    supports = [(z, support(z)) for z in arrangement]
+    decided = {}
+    for members_k, meets, codim in _scan_decisions(monkeypatch, model):
+        code = tuple(rp._orbit_code(rep.matrices, members_k))
+        assert decided.setdefault(code, (members_k, meets, codim))[1:] \
+            == (meets, codim)
+    spaces = {}
+    for members_k, meets, codim in decided.values():
+        w = rp.joint_fixed_space(rep, members_k)
+        assert w.codim == codim
+        spaces[(w.order, w.key())] = (w, meets)
+    assert len(spaces) == len(decided)
+    for key, (w, meets) in spaces.items():
+        if key in members:
+            assert not meets
+            continue
+        inside = support(w)
+        assert meets == reference_meets_complement(
+            w, [z for z, zs in supports if z.dim >= w.dim and inside <= zs])
+    return spaces
+
+
+def test_integer_meets_test_on_every_fixed_space_of_the_p2_scans(
+        bundle_p2, monkeypatch):
+    b = bundle_p2
+    for threshold in (b.model.codim_threshold, b.rep.degree + 1):
+        model = rp.build_model(b.rep, threshold)
+        decided = _assert_scan_decides_like_per_member_contains(
+            monkeypatch, b.rep, model)
+        assert len(decided) > 1
+
+
+def test_integer_meets_test_on_every_fixed_space_of_the_p3_scan(
+        bundle_p3, monkeypatch):
+    b = bundle_p3
+    model = rp.build_model(b.rep, b.model.codim_threshold)
+    decided = _assert_scan_decides_like_per_member_contains(
+        monkeypatch, b.rep, model)
+    assert len(decided) == 1586
+    assert {meets for _, meets in decided.values()} == {True, False}
+
+
+def test_threshold_model_on_matrices_decides_like_contains():
+    gens = [CycloMatrix([[0, -1], [1, -1]]), CycloMatrix([[0, 1], [1, 0]])]
+    g, rep = rp.matrix_closure(gens)
+    for threshold in (1, 2):
+        model = rp.build_model(rep, threshold)
+        assert model.arrangement_size == len(model.arrangement)
+        for members in itertools.chain.from_iterable(
+                itertools.combinations(range(g.order), k) for k in range(3)):
+            w = rp.joint_fixed_space(rep, members)
+            _assert_decides_like_reference(w, model.arrangement, model)
+
+
+def test_p3_threshold_model_builds_its_members_only_when_read(monkeypatch):
+    built = []
+    joint = rp.joint_fixed_space
+
+    def counting(rep, members):
+        built.append(tuple(members))
+        return joint(rep, members)
+
+    monkeypatch.setattr(rp, "joint_fixed_space", counting)
+    b = ex.bogomolov_example(3)
+    assert built == []
+    assert b.model.arrangement_size == 1016
+    assert built == []
+    assert len(b.model.arrangement) == 1016
+    assert len(built) == 1016
+
+
+def test_arrangement_size_is_the_materialized_arrangement_p2(bundle_p2):
+    model = rp.build_model(bundle_p2.rep, bundle_p2.model.codim_threshold)
+    assert model.arrangement_size == 73
+    assert len(model.arrangement) == 73
+    assert model.arrangement == bundle_p2.model.arrangement
