@@ -149,6 +149,17 @@ def test_closure_trivial_and_involutions():
     assert els[0].is_identity()
 
 
+def test_closure_of_a_product_that_is_no_group_raises():
+    # x*y = y: no element e has s*e = s for both seeds
+    with pytest.raises(NotAGroupError, match="unique identity"):
+        grp.closure([1, 2], products(lambda a, b: b), keys(lambda x: x))
+    # multiplication mod 4 from 2 and 3: 1 is the identity, 0 and 2 have
+    # no inverse
+    with pytest.raises(NotAGroupError, match="right inverse"):
+        grp.closure([2, 3], products(lambda a, b: a * b % 4),
+                    keys(lambda x: x))
+
+
 def test_closure_bound(monkeypatch):
     import tbk.cyclo as cyclo
 

@@ -486,8 +486,8 @@ def test_batched_closure_matches_the_string_keyed_closure(p, convention):
 
 
 def test_rank_keys_sort_as_string_keys():
-    # random (perm, phase) pairs, rows of one text prefixing another's
-    # included: degree 12 gives columns 1 and 10, whose texts share a prefix
+    # random (perm, phase) pairs of degree 12 over Q(zeta_6), in neighbours
+    # that share their permutation
     rng = np.random.default_rng(3)
     roots, _ = rp._monomial_elements([CycloMatrix.identity(12, 6)], 6)
     ranks = rp._monomial_key(roots, 12, 6)
@@ -621,3 +621,11 @@ def test_arrangement_size_is_the_materialized_arrangement_p2(bundle_p2):
     assert model.arrangement_size == 73
     assert len(model.arrangement) == 73
     assert model.arrangement == bundle_p2.model.arrangement
+
+
+def test_cross_check_leaves_the_threshold_arrangement_unbuilt(bundle_p2):
+    b = bundle_p2
+    model = rp.build_model(b.rep, b.model.codim_threshold)
+    assert not br.bg_cross_check(b.cocycle("e13"), model).member
+    assert br.in_BG(b.cocycle("e12"), model).member
+    assert "arrangement" not in model._cache

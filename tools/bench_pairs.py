@@ -11,7 +11,7 @@ alternating from pair to pair (``--first`` names it in the first pair of the
 first workload; each further workload starts with the other side). Each run
 gets a fresh ``git archive`` of its commit, and ``__pycache__`` and
 ``.perfbench`` are removed from it before the run, so every run compiles and
-generates its inputs from scratch, as a fresh checkout does. The result is
+generates its inputs anew, as a fresh checkout does. The result is
 the last stdout line of each run.
 
 The output holds, per workload, metric and side, the median and quartiles
