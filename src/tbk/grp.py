@@ -434,37 +434,30 @@ def order_cap() -> int:
     return DEFAULT_ORDER_CAP
 
 
-def _take(batch, idx):
-    """Elements ``idx`` of a batch, as a batch of the same kind."""
-    if isinstance(batch, np.ndarray):
-        return batch[np.asarray(idx, dtype=np.intp)]
-    return [batch[i] for i in idx]
-
-
-def closure(seed, multiply: Callable, canonical_key: Callable
-            ) -> tuple[FiniteGroup, Sequence]:
+def closure(seed: np.ndarray, multiply: Callable, canonical_key: Callable
+            ) -> tuple[FiniteGroup, np.ndarray]:
     """Close a finite set of abstract elements under an associative product.
 
-    Elements travel in batches: a list, or a numpy array whose first axis
-    runs over the elements. ``multiply(xs, ys)`` returns the batch of all
-    products x*y, x-major, and ``canonical_key(batch)`` one hashable,
-    sortable key per element. Breadth-first search by word length, one
-    level at a time (the products of the seeds with a level in one call),
-    with ``canonical_key`` tie-breaks inside each level, so the element
-    order is deterministic. Returns the group (identity relocated to index
-    0, the other elements kept in order) and the elements in the group's
-    index order, as a batch of the seed's kind. A closure that would pass
-    ``order_cap()`` elements raises ``OrderBoundExceededError`` at the
-    level that finds the next one.
+    Elements travel in batches: numpy arrays whose first axis runs over the
+    elements (an object array holds elements that are no arrays).
+    ``multiply(xs, ys)`` returns the batch of all products x*y, x-major,
+    and ``canonical_key(batch)`` one hashable, sortable key per element.
+    Breadth-first search by word length, one level at a time (the products
+    of the seeds with a level in one call), with ``canonical_key``
+    tie-breaks inside each level, so the element order is deterministic.
+    Returns the group (identity relocated to index 0, the other elements
+    kept in order) and the elements in the group's index order, as one
+    batch. A closure that would pass ``order_cap()`` elements raises
+    ``OrderBoundExceededError`` at the level that finds the next one.
 
-    The product is associative, and so is the table it gives; that table
-    is a group once index 0 is a two-sided identity and every element has
-    a right inverse, which is all that is checked. It is completed without
-    extra oracle calls: every BFS element is s*y with s a seed and y in the
-    level before, so row h = s*y is (s*y)*k = s*(y*k), row y read through
-    row s. That n x n table of 4-byte entries is predicted as the elements
-    are found: once it would exceed ``_memory_budget()`` the closure raises
-    ``InfeasibleError`` before anything of that size is allocated.
+    The table is completed without extra oracle calls: every BFS element
+    is s*y with s a seed and y in the level before, so row h = s*y is
+    (s*y)*k = s*(y*k), row y read through row s. It is then validated as
+    ``build_from_cayley``'s is, so a product or key that gives no group
+    table raises ``NotAGroupError``. That n x n table of 4-byte entries is
+    predicted as the elements are found: once it would exceed
+    ``_memory_budget()`` the closure raises ``InfeasibleError`` before
+    anything of that size is allocated.
     """
     if not len(seed):
         raise NotAGroupError("closure needs at least one seed element")
@@ -474,7 +467,7 @@ def closure(seed, multiply: Callable, canonical_key: Callable
     for pos, k in enumerate(canonical_key(seed)):
         first.setdefault(k, pos)
     index = {k: i for i, k in enumerate(sorted(first))}
-    seeds = _take(seed, [first[k] for k in index])
+    seeds = seed[[first[k] for k in index]]
     m = len(index)
     batches = [seeds]
     seed_rows = []  # per level, the index of each product s*x, s-major
@@ -503,7 +496,7 @@ def closure(seed, multiply: Callable, canonical_key: Callable
         seed_rows.append(np.reshape([index[k] for k in pkeys], (m, -1)))
         parents.extend((start + pos % len(level), pos // len(level))
                        for pos in found)
-        level, start = _take(prods, found), base
+        level, start = prods[found], base
         batches.append(level)
 
     # the identity e is the one element with s*e = s for every seed; it
@@ -528,12 +521,8 @@ def closure(seed, multiply: Callable, canonical_key: Callable
             pick = s == t
             mul[h[pick]] = mul[pos[t]].take(mul[pos[y[pick]]])
         lo = hi
-    if (mul[0] != ar).any() or (mul[:, 0] != ar).any():
-        raise NotAGroupError("closure did not produce a unique identity")
-    elements = _take(np.concatenate(batches) if isinstance(seeds, np.ndarray)
-                     else [x for b in batches for x in b], order)
     gens = sorted(set(pos[:m].tolist()) - {0}) or [0]
-    return FiniteGroup(mul, gens, _validated=True), elements
+    return FiniteGroup(mul, gens), np.concatenate(batches)[order]
 
 
 # ---------------------------------------------------------------------------

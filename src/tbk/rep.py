@@ -227,9 +227,10 @@ class LinearActionModel:
     read.
 
     What depends only on the arrangement is computed once per model and
-    kept in ``_cache``: the open-set decisions (``meets_complement``) here;
-    in ``brauer``, the open-set flags and, per bicyclic subgroup A of the
-    bicyclic scan, its first admissible kernel K.
+    kept in ``_cache``: the members grouped by dimension and the open-set
+    decisions of ``joint_fixed_space_meets`` here; in ``brauer``, the
+    open-set flags and, per bicyclic subgroup A of the bicyclic scan, its
+    first admissible kernel K.
     """
 
     def __init__(self, rep: MatrixRep, arrangement=None,
@@ -273,22 +274,6 @@ class LinearActionModel:
                 members.setdefault(keys[g], g)
             self._cache["members"] = members
         return self._cache["members"]
-
-    def _meets(self, key, codim: int, fixed_by_member) -> bool:
-        """Threshold model: whether W meets U, memoized under W's key.
-
-        W lies in no member iff codim W < t (every member is smaller), or
-        else W is no member and no g with codim V^g >= t fixes it
-        pointwise, which ``fixed_by_member(elements)`` decides.
-        """
-        if codim < self.codim_threshold:
-            return True
-        memo = self._cache.setdefault("meets", {})
-        if key not in memo:
-            codims, _ = _fixed_keys(self.rep)
-            memo[key] = key not in self._members() and not fixed_by_member(
-                np.flatnonzero(codims >= self.codim_threshold))
-        return memo[key]
 
 
 @dataclass(frozen=True)
@@ -395,12 +380,12 @@ def matrix_closure(generators, order: int | None = None
                    ) -> tuple[FiniteGroup, MatrixRep]:
     """Close invertible generator matrices into a finite matrix group.
 
-    The representation is multiplicative by construction, so nothing is
-    re-checked: ``grp.closure`` fills the generator columns of the table
-    from exact products looked up by their canonical keys, and every other
-    column from those by associativity of matrix multiplication. The
-    identity element is the one matrix whose column is the identity
-    permutation, which for invertible matrices is the identity matrix.
+    The representation is multiplicative by construction: ``grp.closure``
+    fills the generator rows of the table from exact products looked up by
+    their canonical keys, and every other row from those by associativity
+    of matrix multiplication. The identity element is the one e with
+    s * e = s for every generator s, which for invertible matrices is the
+    identity matrix.
 
     Monomial generators (see ``_monomial_elements``) are invertible as they
     stand and are closed as integer arrays of (perm, phase) pairs, one
@@ -432,16 +417,17 @@ def matrix_closure(generators, order: int | None = None
             except SingularMatrixError as exc:
                 raise NonInvertibleGeneratorError(
                     f"generator {i} is singular") from exc
-        seeds, multiply, key = (mats,
-                                lambda xs, ys: [x * y for x in xs for y in ys],
-                                lambda ms: [m.key() for m in ms])
+        seeds, multiply, key = (
+            np.fromiter(mats, object),
+            lambda xs, ys: np.fromiter((x * y for x in xs for y in ys), object),
+            lambda ms: [m.key() for m in ms])
     else:
         roots, seeds = monomial
         multiply = _monomial_product(len(roots))
         key = _monomial_key(roots, degree, n)
     group, elements = _grp.closure(seeds, multiply, key)
     picks = [0, *group.generators]
-    index = dict(zip(key(_grp._take(elements, picks)), picks))
+    index = dict(zip(key(elements[picks]), picks))
     generator_indices = tuple(index[k] for k in key(seeds))
     matrices = (tuple(elements) if monomial is None
                 else MonomialMatrices(elements, roots, degree, n))
@@ -517,21 +503,15 @@ def meets_complement(w: Subspace, arrangement) -> bool:
     iff it lies in one of them, so this decides whether w meets the open
     complement of the union.
 
-    A threshold model decides it without its members (``_meets``), by
-    M_g v == v on w's basis.
-
-    Otherwise the decision goes by dimension first, since w inside Z forces
-    dim w <= dim Z. With no member of dimension at least dim w, w meets the
-    complement. When w is itself a member it does not. Only otherwise do
-    the members of dimension at least dim w go through
-    ``Subspace.contains``. ``arrangement`` is a sequence of subspaces, or a
-    model, which groups its members by dimension once instead of on every
-    call.
+    The decision goes by dimension first, since w inside Z forces
+    dim w <= dim Z. With no member of dimension at least dim w, w meets
+    the complement; for a threshold model that is exactly codim w < t.
+    When w is itself a member it does not; for a threshold model every
+    fixed space of codimension at least t is one. Only otherwise do the
+    members of dimension at least dim w go through ``Subspace.contains``.
+    ``arrangement`` is a sequence of subspaces, or a model, which groups
+    its members by dimension once instead of on every call.
     """
-    if isinstance(arrangement, LinearActionModel) and not arrangement.explicit:
-        mats = arrangement.rep.matrices
-        return arrangement._meets((w.order, w.key()), w.codim, lambda gs: any(
-            all(mats[g].matvec(v) == v for v in w.basis) for g in gs.tolist()))
     by_dim = (arrangement.members_by_dim()
               if isinstance(arrangement, LinearActionModel)
               else _members_by_dim(arrangement))
@@ -549,7 +529,9 @@ def joint_fixed_space_meets(model: LinearActionModel, members
     """Whether V^K meets the open set, and codim V^K, for K = <members>.
 
     A threshold model on a monomial representation decides from the
-    ``_orbit_code`` of V^K, without building the subspace.
+    ``_orbit_code`` of V^K, without building the subspace, and keeps the
+    decision per model under that code: V^K meets U iff codim V^K < t, or
+    else no g with codim V^g >= t fixes it pointwise.
     """
     rep = model.rep
     mats = rep.matrices
@@ -559,9 +541,15 @@ def joint_fixed_space_meets(model: LinearActionModel, members
     modulus = len(mats.roots)
     code = _orbit_code(mats, members)
     codim = rep.degree - sum(c == j * modulus for j, c in enumerate(code))
-    return model._meets(
-        tuple(code), codim,
-        lambda gs: _fixed_by_any(mats.elements[gs], code, modulus)), codim
+    if codim < model.codim_threshold:
+        return True, codim
+    memo = model._cache.setdefault("meets", {})
+    key = tuple(code)
+    if key not in memo:
+        codims, _ = _fixed_keys(rep)
+        big = np.flatnonzero(codims >= model.codim_threshold)
+        memo[key] = not _fixed_by_any(mats.elements[big], code, modulus)
+    return memo[key], codim
 
 
 def build_model(rep: MatrixRep, threshold: int) -> LinearActionModel:

@@ -17,9 +17,14 @@ from tbk.errors import (
 )
 
 
+def batch(items) -> np.ndarray:
+    """Elements as the object array ``grp.closure`` takes a batch as."""
+    return np.fromiter(items, object)
+
+
 def products(mul):
     """The batched product ``grp.closure`` takes, from a product of two."""
-    return lambda xs, ys: [mul(x, y) for x in xs for y in ys]
+    return lambda xs, ys: batch(mul(x, y) for x in xs for y in ys)
 
 
 def keys(key):
@@ -136,7 +141,8 @@ def test_identity_relocation():
 
 def test_closure_trivial_and_involutions():
     one = (1,)
-    g, els = grp.closure([one], products(lambda a, b: a), keys(lambda x: x))
+    g, els = grp.closure(batch([one]), products(lambda a, b: a),
+                         keys(lambda x: x))
     assert g.order == 1
 
     # two anticommuting 2x2 involutions generate a group of order 8
@@ -144,7 +150,7 @@ def test_closure_trivial_and_involutions():
 
     P = cyclo.CycloMatrix([[0, 1], [1, 0]])
     Q = cyclo.CycloMatrix([[1, 0], [0, -1]])
-    g, els = grp.closure([P, Q], MATRIX_PRODUCTS, MATRIX_KEYS)
+    g, els = grp.closure(batch([P, Q]), MATRIX_PRODUCTS, MATRIX_KEYS)
     assert g.order == 8
     assert els[0].is_identity()
 
@@ -152,12 +158,23 @@ def test_closure_trivial_and_involutions():
 def test_closure_of_a_product_that_is_no_group_raises():
     # x*y = y: no element e has s*e = s for both seeds
     with pytest.raises(NotAGroupError, match="unique identity"):
-        grp.closure([1, 2], products(lambda a, b: b), keys(lambda x: x))
+        grp.closure(batch([1, 2]), products(lambda a, b: b),
+                    keys(lambda x: x))
     # multiplication mod 4 from 2 and 3: 1 is the identity, 0 and 2 have
     # no inverse
     with pytest.raises(NotAGroupError, match="right inverse"):
-        grp.closure([2, 3], products(lambda a, b: a * b % 4),
+        grp.closure(batch([2, 3]), products(lambda a, b: a * b % 4),
                     keys(lambda x: x))
+
+
+def test_closure_validates_its_table():
+    # a loop of order 5 (a Latin square with identity 0) that is no group:
+    # every x != 0 squares to 0, which no group of order 5 allows
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(NotAGroupError, match="associativity fails"):
+        grp.closure(batch([0, 1, 2]), products(lambda a, b: loop[a][b]),
+                    keys(int))
 
 
 def test_closure_bound(monkeypatch):
@@ -168,9 +185,10 @@ def test_closure_bound(monkeypatch):
     monkeypatch.setenv("TBK_MAX_ORDER", "5")
     with pytest.raises(OrderBoundExceededError,
                        match="^closure exceeded bound 5$"):
-        grp.closure([P, Q], MATRIX_PRODUCTS, MATRIX_KEYS)
+        grp.closure(batch([P, Q]), MATRIX_PRODUCTS, MATRIX_KEYS)
     monkeypatch.setenv("TBK_MAX_ORDER", "8")
-    assert grp.closure([P, Q], MATRIX_PRODUCTS, MATRIX_KEYS)[0].order == 8
+    g, _ = grp.closure(batch([P, Q]), MATRIX_PRODUCTS, MATRIX_KEYS)
+    assert g.order == 8
 
 
 def test_order_cap_reads_the_environment(monkeypatch):
@@ -183,13 +201,13 @@ def test_order_cap_reads_the_environment(monkeypatch):
     monkeypatch.setenv("TBK_MAX_ORDER", "many")
     with pytest.raises(MalformedError,
                        match="TBK_MAX_ORDER must be an integer, got 'many'"):
-        grp.closure([1], products(lambda a, b: (a + b) % 2),
+        grp.closure(batch([1]), products(lambda a, b: (a + b) % 2),
                     keys(lambda x: x))
 
 
 def test_closure_predicts_its_table_against_the_memory_budget(monkeypatch):
     def z_mod(n):
-        return grp.closure([1], products(lambda a, b: (a + b) % n),
+        return grp.closure(batch([1]), products(lambda a, b: (a + b) % n),
                            keys(lambda x: x))
 
     # Z_12: a 12 x 12 table of 4-byte entries takes 576 bytes
@@ -206,8 +224,8 @@ def test_closure_is_deterministic():
 
     P = cyclo.CycloMatrix([[0, 1], [1, 0]])
     Q = cyclo.CycloMatrix([[1, 0], [0, -1]])
-    g1, els1 = grp.closure([P, Q], MATRIX_PRODUCTS, MATRIX_KEYS)
-    g2, els2 = grp.closure([Q, P], MATRIX_PRODUCTS, MATRIX_KEYS)
+    g1, els1 = grp.closure(batch([P, Q]), MATRIX_PRODUCTS, MATRIX_KEYS)
+    g2, els2 = grp.closure(batch([Q, P]), MATRIX_PRODUCTS, MATRIX_KEYS)
     assert np.array_equal(g1.mul_table(), g2.mul_table())
     assert [m.key() for m in els1] == [m.key() for m in els2]
 
@@ -450,7 +468,7 @@ def test_abelian_structure_klein_in_d4():
 
     rot = cyclo.CycloMatrix([[0, -1], [1, 0]])
     ref = cyclo.CycloMatrix([[1, 0], [0, -1]])
-    d4, _ = grp.closure([rot, ref], MATRIX_PRODUCTS, MATRIX_KEYS)
+    d4, _ = grp.closure(batch([rot, ref]), MATRIX_PRODUCTS, MATRIX_KEYS)
     assert d4.order == 8
     # find a Klein four subgroup
     invs = [x for x in range(8) if d4.order_of(x) <= 2]

@@ -272,8 +272,11 @@ def test_codim_is_conjugation_invariant(bundle_p2):
 
 def reference_closure(generators, order):
     """The matrix closure on CycloMatrix products and keys."""
-    return grp.closure([m.embed(order) for m in generators],
-                       lambda xs, ys: [x * y for x in xs for y in ys],
+    def batch(items):
+        return np.fromiter(items, object)
+
+    return grp.closure(batch(m.embed(order) for m in generators),
+                       lambda xs, ys: batch(x * y for x in xs for y in ys),
                        lambda ms: [m.key() for m in ms])
 
 

@@ -2,13 +2,13 @@
 
     python3 tools/bench_pairs.py --parent REV --change REV \
         --workload catalog-p2:2301-2310 --workload files-p3:2311-2320 \
-        [--first change] [--seconds 55] [--claim catalog-p2:build_s] \
-        --out BENCH_N.json
+        [--claim catalog-p2:build_s] --out BENCH_N.json
 
 For every seed of a workload it runs ``perfbench/run.py --workload W --seed S
---seconds T --trace 0`` once on each side, the side that runs first
-alternating from pair to pair (``--first`` names it in the first pair of the
-first workload; each further workload starts with the other side). Each run
+--seconds T --trace 0`` once on each side, T being BENCHMARK.json's
+``run_seconds``. The side that runs first alternates from pair to pair: the
+change in the first pair of the first workload, and each further workload
+starts with the side that did not start the one before. Each run
 gets a fresh ``git archive`` of its commit, and ``__pycache__`` and
 ``.perfbench`` are removed from it before the run, so every run compiles and
 generates its inputs anew, as a fresh checkout does. The result is
@@ -17,12 +17,14 @@ the last stdout line of each run.
 The output holds, per workload, metric and side, the median and quartiles
 (``statistics.quantiles``, n = 4) over the pairs and every run's value, and
 the number of pairs in which the change read lower (every benchmark metric is
-better lower). It also prints one line per metric.
+better lower), and the machine: CPUs, physical memory, architecture, and the
+Python and numpy versions. It also prints one line per metric.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -82,22 +84,21 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", action="append", required=True,
                         help="NAME:FIRST-LAST, the seeds of one pair each")
-    parser.add_argument("--first", choices=("parent", "change"),
-                        default="change")
-    parser.add_argument("--seconds", type=float, default=55)
     parser.add_argument("--claim", help="WORKLOAD:METRIC claimed to improve")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
 
     revs = {side: subprocess.run(
         ["git", "-C", str(ROOT), "rev-parse", "--short", rev],
         capture_output=True, text=True, check=True).stdout.strip()
         for side, rev in (("parent", args.parent), ("change", args.change))}
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    first = args.first
+    first = "change"
     record = {
         "description": (
-            f"perfbench/run.py --trace 0 --seconds {args.seconds:g}, parent "
+            f"perfbench/run.py --trace 0 --seconds {seconds:g}, parent "
             f"commit {revs['parent']} against the change (commit "
             f"{revs['change']}), in alternating pairs run by "
             f"tools/bench_pairs.py: each run from a fresh git archive of its "
@@ -105,8 +106,11 @@ def main(argv=None) -> int:
             f"quartiles (statistics.quantiles, n=4) per side over the pairs, "
             f"and the number of pairs in which the change read lower (every "
             f"metric here is better lower)"),
-        "machine": (f"{os.cpu_count()} CPUs, Python {platform.python_version()}"
-                    f", {platform.machine()}"),
+        "machine": (
+            f"{os.cpu_count()} CPUs, {ram:.1f} GiB RAM, "
+            f"{platform.machine()}, Python "
+            f"{platform.python_version()}, numpy "
+            f"{importlib.metadata.version('numpy')}"),
         "workloads": {},
     }
     if args.claim:
@@ -124,7 +128,7 @@ def main(argv=None) -> int:
                 order.append(sides[0])
                 for side in sides:
                     tree = _checkout(revs[side], work / side)
-                    runs[side].append(_run(tree, workload, seed, args.seconds))
+                    runs[side].append(_run(tree, workload, seed, seconds))
                     print(f"{workload} seed {seed} {side} done", flush=True)
             first = "change" if first == "parent" else "parent"
             metrics = {}
