@@ -489,6 +489,8 @@ def _validate_character(domain_pairs, mul, psi: Character) -> None:
 
 def from_central_extension(extension: CentralExtension, psi: Character) -> Cocycle2:
     """alpha(q1, q2) = psi(section(q1) section(q2) section(q1 q2)^{-1})."""
+    if psi.modulus < 1:
+        raise ModulusMismatchError("modulus must be positive")
     total, quot = extension.total, extension.quotient
     kern = extension.kernel.elements
     missing = [x for x in kern if x not in psi.table]
@@ -527,6 +529,8 @@ class BilinearForm:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.modulus < 1:
+            raise ModulusMismatchError("modulus must be positive")
         r = len(self.structure.invariant_factors)
         mat = np.asarray(self.matrix, dtype=np.int64)
         if mat.shape != (r, r):
@@ -584,28 +588,21 @@ def antisym(c: Cocycle2, g: int, h: int) -> int:
 # brute-force H^2 for small groups
 
 
-def _edge_parametrization(g: FiniteGroup) -> np.ndarray:
-    """Express every table entry through the generator-column unknowns.
+def _table_rows(g: FiniteGroup, edges: np.ndarray, xs) -> np.ndarray:
+    """Rows xs of the normalized table whose generator columns are ``edges``.
 
-    A normalized 2-cocycle satisfies c(g, hs) = c(g, h) + c(gh, s) - c(h, s),
-    so the whole table is an integer-linear function of the edge unknowns
-    e[x, j] = c(x, gen_j); identities whose third argument is a generator
-    imply the rest by induction on word length. Returns V with V[g, h] the
-    coefficient vector of c(g, h) in the n*k edge unknowns, built level by
-    level along the BFS tree of the second argument.
+    edges[y, j] = c(y, gen_j), with trailing axes for a stack of edge
+    vectors. Along the BFS tree c(x, 1) = 0 and c(x, h gen_j) = c(x, h) +
+    c(xh, gen_j) - c(h, gen_j); returns out[i, h] = c(xs[i], h), unreduced,
+    with the trailing axes of ``edges``.
     """
-    n = g.order
-    k = len(g.generators)
-    mul = g.mul_table().astype(np.int64)
     tree = _grp.cayley_tree(g)
-    v = np.zeros((n, n, n * k), dtype=np.int64)
-    rows = np.arange(n)[:, None]
-    for w in tree.levels[1:]:  # the identity column stays zero
-        h, j = tree.parent[w], tree.letter[w]
-        v[:, w, :] = v[:, h, :]
-        v[rows, w, mul[:, h] * k + j] += 1
-        v[:, w, h * k + j] -= 1
-    return v
+    mul = g.mul_table()
+    out = np.zeros((len(xs), g.order) + edges.shape[2:], dtype=edges.dtype)
+    for lvl in tree.levels[1:]:
+        h, j = tree.parent[lvl], tree.letter[lvl]
+        out[:, lvl] = out[:, h] + edges[mul[np.ix_(xs, h)], j] - edges[h, j]
+    return out
 
 
 def h2_small(g: FiniteGroup, cap: int = H2_DEFAULT_CAP
@@ -616,10 +613,20 @@ def h2_small(g: FiniteGroup, cap: int = H2_DEFAULT_CAP
     m = |G| (the multiplier's exponent divides |G|, so mu_m sees every
     class), then quotients by the cocycles that die with circle
     coefficients, found by ``trivial_combinations``, so the result is
-    H^2(G, C^*). The system is pre-reduced to the edge unknowns
-    c(x, gen_j) along a BFS tree, and ``zmlin.quotient`` presents cocycles /
-    trivial ones by a Smith form. Returns the invariant factors (largest
-    first) and one representative per factor.
+    H^2(G, C^*). The unknowns are the edge values e[x, j] = c(x, gen_j),
+    pinned by e[1, j] = 0 and extended to c by ``_table_rows``. The system
+    asks c(x, h gen_j) = c(x, h) + e[xh, j] - e[h, j] on every edge (h, j)
+    for x a generator only: k^2 n rows. That is enough. Row x says that
+    every closed walk of the Cayley graph has the same e-holonomy from xh
+    as from h, for every h. So the x whose rows hold are closed under
+    products: for two of them, x and y, a walk from xyh has the holonomy
+    of the walk from yh, and so of the walk from h. They are all of G once
+    they hold the generators, and dc(x, h, gen_j) = 0 for all x, h gives
+    the identity on all triples by induction on the length of the third
+    argument. ``zmlin.quotient`` presents cocycles / trivial ones by a
+    Smith form. Returns the invariant factors (largest first) and one
+    representative per factor. The system's memory is predicted first:
+    past ``grp._memory_budget()`` it raises ``InfeasibleError`` unbuilt.
     """
     n = g.order
     if n > cap:
@@ -630,22 +637,27 @@ def h2_small(g: FiniteGroup, cap: int = H2_DEFAULT_CAP
     gens = list(g.generators)
     k = len(gens)
     width = n * k
-    mul = g.mul_table().astype(np.int64)
-    v = _edge_parametrization(g)
-    rows = np.arange(n)
-
-    blocks = []
-    for h in range(n):
-        for j, s in enumerate(gens):
-            w = int(mul[h, s])
-            block = v[:, h, :] - v[:, w, :]
-            block[rows, mul[:, h] * k + j] += 1
-            block[:, h * k + j] -= 1
-            blocks.append(block % m)
-    pins = np.zeros((k, width), dtype=np.int64)
-    for j in range(k):
-        pins[j, j] = 1  # normalization: c(1, gen_j) = 0
-    system = np.unique(np.vstack(blocks + [pins]), axis=0)
+    # int64: the system, k * (width + 1) rows of width entries, and the
+    # Howell form's reduced and compacted copies of it, which bound the
+    # arrays that build it; then the kernels and the quotient, whose
+    # [a | I] blocks have at most width x 2 * width entries. With their
+    # copies these peaked at 15 * width^2 (cyclic groups of order 128 to
+    # 512, under tracemalloc), taken here as 16 * width^2.
+    need = 8 * (3 * k * width * (width + 1) + 16 * width * width)
+    budget = _grp._memory_budget()
+    if need > budget:
+        raise InfeasibleError(
+            f"the H^2 system on order {n} would take {need} bytes, more "
+            f"than the {budget} bytes of memory available")
+    mul = g.mul_table()
+    # unit[y, j] is the edge vector of the unknown e[y, j]
+    unit = np.eye(width, dtype=np.int64).reshape(n, k, width)
+    sym = _table_rows(g, unit, gens)
+    rows = sym[:, :, None] - sym[:, mul[:, gens]]
+    rows += unit[mul[gens]]
+    rows -= unit
+    system = np.vstack([rows.reshape(-1, width), unit[0]])
+    del unit, sym, rows
     k_rows = zmlin.right_kernel(system, m)
     # row x * k + j of a cocycle's edge vector is c(x, gen_j)
     trivial = trivial_combinations(g, k_rows.reshape(-1, n, k), m)
@@ -654,7 +666,7 @@ def h2_small(g: FiniteGroup, cap: int = H2_DEFAULT_CAP
     factors, sols = zmlin.quotient(k_rows, killers, m)
     reps = []
     for sol in sols:
-        rep = Cocycle2(g, m, np.einsum("ghx,x->gh", v, sol) % m)
+        rep = Cocycle2(g, m, _table_rows(g, sol.reshape(n, k), range(n)) % m)
         ensure_cocycle(rep)
         reps.append(rep)
     return AbelianStructure(factors, tuple(range(len(reps)))), reps

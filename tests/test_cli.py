@@ -855,6 +855,32 @@ def test_cli_cocycle_check_too_large_for_memory_exits_4(
     assert code == 0 and payload["results"]["is_cocycle"] is True
 
 
+def test_cli_h2_too_large_for_memory_exits_4(workdir, capsys, monkeypatch):
+    # klein: n = 4, k = 2, width 8; the system 3 * 2 * 8 * 9 entries and the
+    # kernels 16 * 8^2, eight bytes each
+    need = 8 * (3 * 2 * 8 * 9 + 16 * 8 * 8)
+    argv = ["h2", "--in", str(workdir / "klein.json")]
+    monkeypatch.setattr(grp, "_memory_budget", lambda: need - 1)
+    code, payload, err = _run(argv, capsys)
+    assert (code, payload, err) == (
+        4, {}, f"error: the H^2 system on order 4 would take {need} bytes, "
+               f"more than the {need - 1} bytes of memory available\n")
+    monkeypatch.setattr(grp, "_memory_budget", lambda: need)
+    code, payload, _ = _run(argv, capsys)
+    assert code == 0 and payload["results"]["invariant_factors"] == [2]
+
+
+@pytest.mark.parametrize("modulus", ["0", "-2"])
+@pytest.mark.parametrize("command", [
+    ["from-bilinear", "--matrix", "[[1,0],[0,1]]"],
+    ["from-extension", "--central", "1", "--psi", "0:0,1:1"],
+], ids=["from-bilinear", "from-extension"])
+def test_cli_modulus_below_1_is_refused(workdir, capsys, command, modulus):
+    argv = ["cocycle", command[0], "--group", str(workdir / "klein.json"),
+            "--modulus", modulus, *command[1:]]
+    assert _run(argv, capsys) == (3, {}, "error: modulus must be positive\n")
+
+
 def test_cli_order_729_witness_and_every_input_hashed(tmp_path, capsys):
     from tests.test_cocycle import (_first_failing_triple_by_sweep,
                                     _row_defect, _valid_table, spread_product)

@@ -764,6 +764,61 @@ def test_b0_vanishes_on_small_groups_with_nonzero_h2():
         assert span_analysis(reps).invariant_factors == ()
 
 
+def test_table_rows_rebuild_a_cocycle_from_its_generator_columns():
+    # a normalized cocycle is fixed by its edge values c(x, gen_j)
+    rng = np.random.default_rng(29)
+    for g in (dihedral8(), alternating4(), grp.cyclic(6)):
+        n, gens = g.order, list(g.generators)
+        _, reps = cx.h2_small(g)
+        lam = rng.integers(0, n, size=n)
+        lam[0] = 0
+        c = cx.coboundary_of(cx.Cochain1(g, n, lam))
+        for r in reps:
+            c = c + r.scale(int(rng.integers(1, n)))
+        edges = c.table[:, gens].astype(np.int64)
+        assert np.array_equal(cx._table_rows(g, edges, range(n)) % n, c.table)
+        stacked = cx._table_rows(g, np.stack([edges, 2 * edges], axis=-1),
+                                 gens[::-1]) % n
+        assert np.array_equal(stacked[..., 0], c.table[gens[::-1]])
+        assert np.array_equal(stacked[..., 1], 2 * c.table[gens[::-1]] % n)
+
+
+def test_h2_small_with_identity_repeated_and_redundant_generators():
+    c, dp = grp.cyclic, grp.direct_product
+    for g in (dihedral8(), alternating4(), dp(c(2), c(4)), dp(c(3), c(3))):
+        want = cx.h2_small(g)[0].invariant_factors
+        gens = list(g.generators)
+        for listed in ([0] + gens, gens + gens, list(range(1, g.order))):
+            h = grp.build_from_cayley(g.mul_table().tolist(), generators=listed)
+            structure, reps = cx.h2_small(h)
+            assert structure.invariant_factors == want, listed
+            for d, rep in zip(want, reps):
+                assert cx.is_coboundary(rep.scale(d), sense="torus") is not None
+
+
+def test_h2_small_gives_all_of_b0_at_p2():
+    # H^2 of the order-128 group, and B0 and B_G(U) inside it: the catalog
+    # spans all of both. The generator-row system keeps the run small. A
+    # bundle of its own keeps the shared one's edge plans as they were.
+    import tracemalloc
+
+    from tbk import example as ex
+
+    bundle = ex.bogomolov_example(2)
+    catalog = [bundle.cocycle(x) for x in bundle.catalog_names]
+    tracemalloc.start()
+    try:
+        structure, reps = cx.h2_small(bundle.group, cap=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert structure.invariant_factors == (4, 2, 2, 2, 2, 2)
+    assert peak < 300 << 20
+    for model in (None, bundle.model):
+        spans = span_analysis(reps, model).invariant_factors
+        assert spans == span_analysis(catalog, model).invariant_factors == (2,)
+
+
 def _old_stored_table(table, modulus: int) -> np.ndarray:
     """The reference: reduce in int64, then narrow to the stored dtype."""
     return (np.asarray(table, dtype=np.int64) % modulus).astype(
